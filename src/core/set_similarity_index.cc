@@ -894,14 +894,20 @@ Result<SetSimilarityIndex> SetSimilarityIndex::Load(
   return index;
 }
 
-Result<QueryResult> SetSimilarityIndex::QueryCandidates(
-    const ElementSet& query, double sigma1, double sigma2) const {
+Status ValidateRangeQuery(const ElementSet& query, double sigma1,
+                          double sigma2) {
   if (!(sigma1 >= 0.0 && sigma1 <= sigma2 && sigma2 <= 1.0)) {
     return Status::InvalidArgument("require 0 <= sigma1 <= sigma2 <= 1");
   }
   if (!IsNormalizedSet(query)) {
     return Status::InvalidArgument("query set must be sorted and unique");
   }
+  return Status::OK();
+}
+
+Result<QueryResult> SetSimilarityIndex::QueryCandidates(
+    const ElementSet& query, double sigma1, double sigma2) const {
+  SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
   // Pin an epoch for the query's whole lifetime: every bucket, directory,
   // or signature version loaded below stays allocated until the guard
   // drops, whatever concurrent writers retire meanwhile.
@@ -963,23 +969,24 @@ Result<QueryResult> SetSimilarityIndex::Query(const ElementSet& query,
                                               double sigma1,
                                               double sigma2) const {
   return QueryImpl(query, sigma1, sigma2, /*view=*/nullptr,
-                   /*scratch=*/nullptr);
+                   /*scratch=*/nullptr, /*signature=*/nullptr);
 }
 
 Result<QueryResult> SetSimilarityIndex::QueryThrough(
     SetStore::ReadView& view, const ElementSet& query, double sigma1,
-    double sigma2, std::vector<SetId>* scratch) const {
-  return QueryImpl(query, sigma1, sigma2, &view, scratch);
+    double sigma2, std::vector<SetId>* scratch,
+    const Signature* signature) const {
+  return QueryImpl(query, sigma1, sigma2, &view, scratch, signature);
 }
 
 Result<QueryResult> SetSimilarityIndex::QueryImpl(
     const ElementSet& query, double sigma1, double sigma2,
-    SetStore::ReadView* view, std::vector<SetId>* scratch) const {
-  if (!(sigma1 >= 0.0 && sigma1 <= sigma2 && sigma2 <= 1.0)) {
-    return Status::InvalidArgument("require 0 <= sigma1 <= sigma2 <= 1");
-  }
-  if (!IsNormalizedSet(query)) {
-    return Status::InvalidArgument("query set must be sorted and unique");
+    SetStore::ReadView* view, std::vector<SetId>* scratch,
+    const Signature* signature) const {
+  SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
+  if (signature != nullptr &&
+      signature->size() != embedding_->hasher().params().num_hashes) {
+    return Status::InvalidArgument("query signature dimension mismatch");
   }
   // Pin an epoch for the query's whole lifetime (see QueryCandidates).
   std::optional<exec::EpochGuard> epoch_guard;
@@ -993,16 +1000,17 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   const IoStats io_before = io.stats();
   queries_->Increment();
   QueryResult result;
-  Signature sig;
-  {
+  Signature own_signature;
+  if (signature == nullptr) {
     obs::TraceSpan embed("embed");
-    sig = embedding_->Sign(query);
+    own_signature = embedding_->Sign(query);
+    signature = &own_signature;
   }
   std::vector<SetId> candidates;
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    candidates = ComputeCandidates(sig, sigma1, sigma2, &result.stats,
+    candidates = ComputeCandidates(*signature, sigma1, sigma2, &result.stats,
                                    &additive_loss, io, scratch);
   }
   result.stats.candidates = candidates.size();

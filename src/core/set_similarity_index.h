@@ -152,6 +152,13 @@ struct QueryResult {
   QueryStats stats;
 };
 
+/// Checks a range query's inputs: 0 <= σ1 <= σ2 <= 1 and a sorted,
+/// duplicate-free query set; InvalidArgument otherwise. Every query entry
+/// point runs it first, and the sharded front ends run it before they
+/// consult any shard.
+Status ValidateRangeQuery(const ElementSet& query, double sigma1,
+                          double sigma2);
+
 /// Build-time statistics: wall time plus the per-worker CPU accounting of
 /// the two parallel phases (signing, table inserts). makespan_seconds is
 /// the modeled parallel build time — the serial portions at wall-clock cost
@@ -200,12 +207,16 @@ class SetSimilarityIndex {
   /// run concurrently (readers pin an epoch and observe consistent
   /// copy-on-write snapshots). `scratch` (optional) is the probe-union
   /// reuse buffer — pass the same vector across a worker's queries to
-  /// eliminate per-probe allocation churn. Answers are identical to
-  /// Query's.
+  /// eliminate per-probe allocation churn. `signature` (optional) is the
+  /// query's signature under this index's embedding, already computed by
+  /// the caller (the query router signs once for all shards); null signs
+  /// here. A signature of the wrong dimension is InvalidArgument. Answers
+  /// are identical to Query's.
   Result<QueryResult> QueryThrough(SetStore::ReadView& view,
                                    const ElementSet& query, double sigma1,
                                    double sigma2,
-                                   std::vector<SetId>* scratch = nullptr) const;
+                                   std::vector<SetId>* scratch = nullptr,
+                                   const Signature* signature = nullptr) const;
 
   /// Dynamic maintenance (Section 4.3 notes hash indices are fully
   /// dynamic): registers a set already added to the store under `sid`.
@@ -342,10 +353,12 @@ class SetSimilarityIndex {
 
   /// Shared implementation of Query and QueryThrough. `view` == nullptr is
   /// the serial path (store fetches, store I/O delta); non-null is the
-  /// concurrent path (view fetches, view I/O delta). `scratch` may be null.
+  /// concurrent path (view fetches, view I/O delta). `scratch` may be null;
+  /// so may `signature` (then the query is signed here).
   Result<QueryResult> QueryImpl(const ElementSet& query, double sigma1,
                                 double sigma2, SetStore::ReadView* view,
-                                std::vector<SetId>* scratch) const;
+                                std::vector<SetId>* scratch,
+                                const Signature* signature) const;
 
   /// Fills the timing fields of `stats` from the query stopwatch and the
   /// accumulated I/O delta.

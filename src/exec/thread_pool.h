@@ -51,7 +51,11 @@ struct JobStats {
 /// A fixed-size pool of `size() - 1` background threads plus the calling
 /// thread. Jobs are collective: every worker runs the same function once,
 /// or pulls ParallelFor chunks from a shared cursor. One job runs at a
-/// time; jobs must not be issued from inside a job (not reentrant).
+/// time: jobs are issued from one thread at a time, never from inside a
+/// job (not reentrant). State indexed by worker id may persist across jobs
+/// without locking (the query router keeps its per-shard views that way):
+/// within a job each id belongs to one thread, and a job starts only after
+/// the previous one finished on every worker.
 class ThreadPool {
  public:
   /// `num_threads` is a resolved count (>= 1; callers that accept a 0 =

@@ -50,6 +50,8 @@ struct MinHashParams {
 
   /// Validates ranges (num_hashes >= 1, 1 <= value_bits <= 16).
   Status Validate() const;
+
+  bool operator==(const MinHashParams&) const = default;
 };
 
 /// Computes min-hash signatures for sets under a fixed signing family.

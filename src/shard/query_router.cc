@@ -22,15 +22,23 @@ QueryRouter::QueryRouter(const ShardedSetSimilarityIndex& index,
   if (options_.metrics_scope.empty()) {
     options_.metrics_scope = registry.NewScope("router");
   }
-  const std::vector<double> bounds = obs::LatencyBoundsMicros();
-  shard_latency_.reserve(index_->num_shards());
-  for (std::uint32_t s = 0; s < index_->num_shards(); ++s) {
+  worker_shards_.resize(pool_.size());
+  EnsureShardState(index_->num_shards());
+  query_latency_ = registry.GetHistogram("ssr_router_query_latency_micros",
+                                         options_.metrics_scope,
+                                         obs::LatencyBoundsMicros());
+}
+
+void QueryRouter::EnsureShardState(std::uint32_t num_shards) {
+  if (shard_latency_.size() >= num_shards) return;
+  auto& registry = obs::MetricsRegistry::Default();
+  for (std::size_t s = shard_latency_.size(); s < num_shards; ++s) {
     shard_latency_.push_back(registry.GetHistogram(
         "ssr_router_shard_latency_micros",
-        options_.metrics_scope + "/shard/" + std::to_string(s), bounds));
+        options_.metrics_scope + "/shard/" + std::to_string(s),
+        obs::LatencyBoundsMicros()));
   }
-  query_latency_ = registry.GetHistogram("ssr_router_query_latency_micros",
-                                         options_.metrics_scope, bounds);
+  for (std::vector<WorkerShard>& row : worker_shards_) row.resize(num_shards);
 }
 
 void QueryRouter::ObserveRoutedAnswer(const ElementSet& query, double sigma1,
@@ -70,6 +78,10 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
     ~LatencyGuard() { hist->Observe(watch.ElapsedSeconds() * 1e6); }
   } latency_guard{Stopwatch(), query_latency_};
 
+  // A malformed query is the caller's bug, not a shard failure: rejected
+  // before any shard is consulted, exactly like the serial scatter.
+  SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
+
   // Pin an epoch for the whole scatter/gather: shard slots and routing
   // tables loaded here stay dereferenceable even if a concurrent rebalance
   // retires them mid-query. Workers pin their own epochs below.
@@ -78,21 +90,34 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
     epoch_guard.emplace(*index_->epoch_manager());
   }
   const std::uint32_t num_shards = index_->num_shards();
+  EnsureShardState(num_shards);
   obs::TraceSpan span("router_query");
   span.Tag("shards", static_cast<std::uint64_t>(num_shards));
   span.Tag("workers", static_cast<std::uint64_t>(pool_.size()));
 
-  // Scatter: every healthy shard is probed concurrently through its own
-  // ReadView (private buffer pool + I/O model), so the only shared state
-  // the workers touch is read-only index structure. Slots are per-shard,
-  // so writes are index-disjoint.
+  // Sign once, here, with the embedding every shard shares; each shard
+  // probes with this one signature instead of signing again. (No embedding
+  // means no shard index survived a salvage load: nothing to sign for.)
+  Signature signature;
+  const Signature* shared_signature = nullptr;
+  if (const Embedding* embedding = index_->embedding()) {
+    obs::TraceSpan embed("embed");
+    signature = embedding->Sign(query);
+    shared_signature = &signature;
+  }
+
+  // Scatter: every healthy shard is probed concurrently through the
+  // worker's own ReadView for it (private buffer pool + I/O model), so the
+  // only shared state the workers touch is read-only index structure.
+  // Result slots are per-shard, so writes are index-disjoint.
   std::vector<QueryResult> answers(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
   std::vector<char> answered(num_shards, 0);
   std::vector<char> retired(num_shards, 0);
   {
     obs::TraceSpan scatter("router_scatter");
-    pool_.ParallelFor(0, num_shards, 1, [&](std::size_t s, std::size_t) {
+    pool_.ParallelFor(0, num_shards, 1, [&](std::size_t s,
+                                            std::size_t worker) {
       // The worker's own pin: the shard pointers it loads stay valid even
       // if a shrink retires the shard before the probe finishes.
       std::optional<exec::EpochGuard> worker_guard;
@@ -115,16 +140,15 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
         statuses[s] = Status::Unavailable("shard administratively degraded");
         return;
       }
-      Stopwatch probe_watch;
-      SetStore::ReadView view(*store, options_.view_buffer_pool_pages);
-      std::vector<SetId> scratch;
-      auto r = shard_index->QueryThrough(view, query, sigma1, sigma2,
-                                         &scratch);
-      // Shards added by a grow rebalance after router construction have no
-      // histogram slot; their latency is uncounted until a new router.
-      if (s < shard_latency_.size()) {
-        shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
+      WorkerShard& state = worker_shards_[worker][s];
+      if (state.view == nullptr || state.view->store() != store) {
+        state.view = std::make_unique<SetStore::ReadView>(
+            *store, options_.view_buffer_pool_pages);
       }
+      Stopwatch probe_watch;
+      auto r = shard_index->QueryThrough(*state.view, query, sigma1, sigma2,
+                                         &state.scratch, shared_signature);
+      shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
       if (r.ok()) {
         answers[s] = std::move(r).value();
         answered[s] = 1;
@@ -153,9 +177,6 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
       result.partial = true;
       continue;
     }
-    // A malformed query is the caller's bug, not a shard failure: every
-    // shard rejects identically, so propagate instead of degrading.
-    if (statuses[s].IsInvalidArgument()) return statuses[s];
     SSR_RETURN_IF_ERROR(
         index_->GatherShardFailure(s, std::move(statuses[s]), &result));
   }
@@ -186,6 +207,7 @@ RoutedBatchResult QueryRouter::RunBatch(
     epoch_guard.emplace(*index_->epoch_manager());
   }
   const std::uint32_t num_shards = index_->num_shards();
+  EnsureShardState(num_shards);
   Stopwatch wall;
   obs::TraceSpan span("router_batch");
   span.Tag("queries", static_cast<std::uint64_t>(queries.size()));
@@ -220,11 +242,8 @@ RoutedBatchResult QueryRouter::RunBatch(
     exec::BatchExecutor executor(*shard_index, pool_, exec_options);
     out.per_shard[s] = executor.Run(queries);
     // One observation per batch: the shard's host wall clock, the honest
-    // per-shard figure the latency histogram tracks in batch mode. Shards
-    // grown after router construction have no histogram slot.
-    if (s < shard_latency_.size()) {
-      shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);
-    }
+    // per-shard figure the latency histogram tracks in batch mode.
+    shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);
     shard_ran[s] = 1;
     out.modeled_makespan_seconds =
         std::max(out.modeled_makespan_seconds,
@@ -240,7 +259,10 @@ RoutedBatchResult QueryRouter::RunBatch(
       ShardedQueryResult merged;
       merged.per_shard.resize(num_shards);
       merged.shard_status.assign(num_shards, Status::OK());
-      Status failure = Status::OK();
+      // A malformed query fails as the caller's bug whatever the shards'
+      // health, as in the serial scatter.
+      Status failure = ValidateRangeQuery(queries[i].query, queries[i].sigma1,
+                                          queries[i].sigma2);
       for (std::uint32_t s = 0; s < num_shards && failure.ok(); ++s) {
         if (!shard_ran[s]) {
           if (shard_retired[s]) {
@@ -257,8 +279,6 @@ RoutedBatchResult QueryRouter::RunBatch(
         if (st.ok()) {
           index_->GatherShardAnswer(
               s, std::move(out.per_shard[s].results[i]), &merged);
-        } else if (st.IsInvalidArgument()) {
-          failure = st;  // caller bug: propagate, don't degrade
         } else {
           failure = index_->GatherShardFailure(s, st, &merged);
         }

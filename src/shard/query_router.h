@@ -1,21 +1,35 @@
 // QueryRouter: the parallel scatter/gather front end of the sharded index.
-// A single query fans out to every shard on the router's thread pool (one
-// ReadView per probe, so shards are queried concurrently without touching
-// each other's buffer pools); a batch goes through one BatchExecutor per
-// shard, every executor scheduling on the router's one shared pool. Either
-// way the gather merges per-shard answers *in shard order* with the same
-// helpers the serial ShardedSetSimilarityIndex::Query uses — router answers
-// are bit-identical to serial answers, which the differential harness
-// (tests/difftest/) holds as an invariant.
+// A single query is validated and signed once, on the calling thread, with
+// the embedding every shard shares (ShardedSetSimilarityIndex::embedding);
+// that one signature then fans out to every shard on the router's thread
+// pool, as in the paper, where one query signature probes every filter
+// index. Each (pool worker, shard) pair keeps its own ReadView and probe
+// scratch for the router's lifetime, like a BatchExecutor worker keeps its
+// view for a batch: shards are queried concurrently without touching each
+// other's buffer pools, a routed query's modeled I/O is charged against a
+// warm per-worker pool, and steady-state queries register no metrics. A
+// view is rebuilt only when its shard slot holds a different store after a
+// grow or shrink. A batch goes through one BatchExecutor per shard, every
+// executor scheduling on the router's one shared pool (each shard signs
+// its batch itself). Either way the gather merges per-shard answers *in
+// shard order* with the same helpers the serial
+// ShardedSetSimilarityIndex::Query uses — router answers are bit-identical
+// to serial answers, which the differential harness (tests/difftest/)
+// holds as an invariant.
 //
 // Failure semantics are inherited from the index's ShardFailurePolicy: a
 // degraded or erroring shard either fails the query (kFailFast) or is
 // skipped with the answer tagged partial + degraded (kPartialResults).
+//
+// A router serves one caller thread at a time: its pool runs one job at a
+// time, and the per-worker state belongs to that job. Threads that query
+// concurrently each hold their own router.
 
 #ifndef SSR_SHARD_QUERY_ROUTER_H_
 #define SSR_SHARD_QUERY_ROUTER_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +38,7 @@
 #include "obs/metrics.h"
 #include "obs/workload_observer.h"
 #include "shard/sharded_index.h"
+#include "storage/set_store.h"
 #include "util/result.h"
 #include "util/types.h"
 
@@ -90,15 +105,18 @@ struct RoutedBatchResult {
 /// Insert/Erase and an online rebalance (the router pins epochs around
 /// every scatter; mid-rebalance answers come back tagged rebalancing +
 /// partial). Without it, the index must not be mutated while a
-/// Query/RunBatch is in flight (SetShardDegraded included).
+/// Query/RunBatch is in flight (SetShardDegraded included). Query and
+/// RunBatch are called from one thread at a time.
 class QueryRouter {
  public:
   explicit QueryRouter(const ShardedSetSimilarityIndex& index,
                        QueryRouterOptions options = {});
 
-  /// One query, scattered to all shards in parallel. Answers (including
-  /// stats merging and failure tagging) are identical to the serial
-  /// ShardedSetSimilarityIndex::Query.
+  /// One query, signed once here and scattered to all shards in parallel.
+  /// Answers (including per-shard stats and failure tagging) are identical
+  /// to the serial ShardedSetSimilarityIndex::Query. Per-shard latency
+  /// (ssr_router_shard_latency_micros) is the shard's probe + verify; the
+  /// signing is not part of it.
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2);
 
@@ -112,10 +130,26 @@ class QueryRouter {
   const std::string& metrics_scope() const { return options_.metrics_scope; }
 
  private:
+  /// One pool worker's reusable state for one shard.
+  struct WorkerShard {
+    /// Over the store the shard slot held when it was built; rebuilt when
+    /// the slot's store differs. (A new store at a freed one's address
+    /// keeps the view: it then reads the new store, and only its pool's
+    /// page recency — cost-model bookkeeping — is stale.)
+    std::unique_ptr<SetStore::ReadView> view;
+    std::vector<SetId> scratch;  // probe-union buffer
+  };
+
   /// Feeds one merged answer to the workload observer (counts + sampled
   /// side channels + per-shard load). No-op when no observer is attached.
   void ObserveRoutedAnswer(const ElementSet& query, double sigma1,
                            double sigma2, const ShardedQueryResult& result);
+
+  /// Extends the per-shard state (latency histograms, every worker's
+  /// WorkerShard slots) to `num_shards` shards, so shards added by a grow
+  /// are served and counted like the original ones. Runs on the calling
+  /// thread, between pool jobs.
+  void EnsureShardState(std::uint32_t num_shards);
 
   const ShardedSetSimilarityIndex* index_;
   QueryRouterOptions options_;
@@ -125,7 +159,10 @@ class QueryRouter {
   /// in RunBatch. This is where shard skew becomes visible — the modeled
   /// makespan scalar only reports the max.
   std::vector<obs::Histogram*> shard_latency_;
-  /// End-to-end routed query latency (scatter + gather + merge) under the
+  /// [worker][shard], indexed by the ParallelFor worker id. Worker w only
+  /// touches row w, so the scatter needs no locking.
+  std::vector<std::vector<WorkerShard>> worker_shards_;
+  /// End-to-end routed query latency (sign + scatter + gather) under the
   /// router's scope: the series the SLO windows track for the sharded
   /// front end, the sharded counterpart of ssr_index_query_latency_micros.
   obs::Histogram* query_latency_;

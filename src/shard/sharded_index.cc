@@ -106,6 +106,7 @@ ShardedSetSimilarityIndex::ShardedSetSimilarityIndex(
     ShardedSetSimilarityIndex&& other) noexcept
     : options_(std::move(other.options_)),
       layout_(std::move(other.layout_)),
+      embedding_(std::move(other.embedding_)),
       base_scope_(std::move(other.base_scope_)),
       map_(std::move(other.map_)),
       shards_(std::move(other.shards_)),
@@ -132,6 +133,7 @@ ShardedSetSimilarityIndex::ShardedSetSimilarityIndex(
   other.num_shards_.store(0, std::memory_order_relaxed);
   other.num_live_.store(0, std::memory_order_relaxed);
   other.rebalance_active_.store(false, std::memory_order_relaxed);
+  other.embedding_.reset();
   other.epoch_manager_ = nullptr;
   other.next_move_ = other.moves_done_ = other.moves_skipped_ = 0;
 }
@@ -142,6 +144,7 @@ ShardedSetSimilarityIndex& ShardedSetSimilarityIndex::operator=(
     FreeShards();
     options_ = std::move(other.options_);
     layout_ = std::move(other.layout_);
+    embedding_ = std::move(other.embedding_);
     base_scope_ = std::move(other.base_scope_);
     map_ = std::move(other.map_);
     shards_ = std::move(other.shards_);
@@ -168,6 +171,7 @@ ShardedSetSimilarityIndex& ShardedSetSimilarityIndex::operator=(
     other.num_shards_.store(0, std::memory_order_relaxed);
     other.num_live_.store(0, std::memory_order_relaxed);
     other.rebalance_active_.store(false, std::memory_order_relaxed);
+    other.embedding_.reset();
     other.epoch_manager_ = nullptr;
     other.next_move_ = other.moves_done_ = other.moves_skipped_ = 0;
   }
@@ -184,6 +188,14 @@ Status ShardedSetSimilarityIndex::CreateShard(std::uint32_t s) {
   store_options.metrics_scope = scope + "/store";
   ShardAt(s).store = std::make_unique<SetStore>(store_options);
   return Status::OK();
+}
+
+IndexOptions ShardedSetSimilarityIndex::ShardIndexOptions(
+    std::uint32_t s) const {
+  IndexOptions index_options = options_.index;
+  index_options.metrics_scope = ShardScope(base_scope_, s) + "/index";
+  if (embedding_.has_value()) index_options.embedding = embedding_->params();
+  return index_options;
 }
 
 void ShardedSetSimilarityIndex::EnableConcurrentWrites(
@@ -255,11 +267,13 @@ Result<ShardedSetSimilarityIndex> ShardedSetSimilarityIndex::Build(
     obs::TraceSpan shard_span("sharded_build_shard");
     shard_span.Tag("shard", static_cast<std::uint64_t>(s));
     Shard& sh = sharded.ShardAt(s);
-    IndexOptions index_options = sharded.options_.index;
-    index_options.metrics_scope = ShardScope(sharded.base_scope_, s) + "/index";
-    auto built = SetSimilarityIndex::Build(*sh.store, layout, index_options);
+    auto built = SetSimilarityIndex::Build(*sh.store, layout,
+                                           sharded.ShardIndexOptions(s));
     if (!built.ok()) return built.status();
     sh.index = std::make_unique<SetSimilarityIndex>(std::move(built).value());
+    if (!sharded.embedding_.has_value()) {
+      sharded.embedding_.emplace(sh.index->embedding());
+    }
     sharded.build_stats_.per_shard.push_back(sh.index->build_stats());
     sharded.build_stats_.modeled_makespan_seconds =
         std::max(sharded.build_stats_.modeled_makespan_seconds,
@@ -464,6 +478,7 @@ void ShardedSetSimilarityIndex::FinishGather(ShardedQueryResult* result) const {
 
 Result<ShardedQueryResult> ShardedSetSimilarityIndex::Query(
     const ElementSet& query, double sigma1, double sigma2) const {
+  SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
   obs::TraceSpan span("sharded_query");
   std::optional<exec::EpochGuard> guard;
   if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
@@ -503,9 +518,6 @@ Result<ShardedQueryResult> ShardedSetSimilarityIndex::Query(
     }
     auto answer = sh->index->Query(query, sigma1, sigma2);
     if (!answer.ok()) {
-      // Validation errors are the caller's bug, not a shard failure — every
-      // shard would reject identically, so propagate instead of degrading.
-      if (answer.status().IsInvalidArgument()) return answer.status();
       SSR_RETURN_IF_ERROR(GatherShardFailure(s, answer.status(), &result));
       continue;
     }
@@ -575,10 +587,8 @@ Status ShardedSetSimilarityIndex::BeginRebalanceImpl(
       SetStoreOptions store_options = options_.store;
       store_options.metrics_scope = ShardScope(base_scope_, s) + "/store";
       fresh->store = std::make_unique<SetStore>(store_options);
-      IndexOptions index_options = options_.index;
-      index_options.metrics_scope = ShardScope(base_scope_, s) + "/index";
       auto built = SetSimilarityIndex::Build(*fresh->store, layout_,
-                                             index_options);
+                                             ShardIndexOptions(s));
       if (!built.ok()) return built.status();
       fresh->index =
           std::make_unique<SetSimilarityIndex>(std::move(built).value());
@@ -1026,26 +1036,17 @@ Result<ShardedSetSimilarityIndex> ShardedSetSimilarityIndex::Load(
     report.salvaged = true;
   }
 
-  // Every surviving shard must have been signed under the same minhash
-  // family (each shard section nests its own index snapshot, so skew is
-  // representable on disk): a mixed composite would route one query
-  // signature against incompatibly-signed shards. Typed NotSupported, same
-  // contract as the single-index family check.
-  {
-    bool have_family = false;
-    MinHashFamilyKind family = MinHashFamilyKind::kClassic;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const Shard& sh = sharded.ShardAt(s);
-      if (sh.index == nullptr) continue;
-      const MinHashFamilyKind shard_family =
-          sh.index->embedding().params().minhash.family;
-      if (!have_family) {
-        have_family = true;
-        family = shard_family;
-      } else if (shard_family != family) {
-        return Status::NotSupported(
-            "shard minhash family mismatch across shard sections");
-      }
+  // Every surviving shard must sign under the one embedding (each shard
+  // section nests its own index snapshot, so skew in any EmbeddingParams
+  // field is representable on disk): the router hands one query signature
+  // to every shard. Typed NotSupported, same contract as the single-index
+  // family check. embedding_ is set whenever any shard index loaded.
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    const Shard& sh = sharded.ShardAt(s);
+    if (sh.index != nullptr &&
+        sh.index->embedding().params() != sharded.embedding_->params()) {
+      return Status::NotSupported(
+          "shard embedding parameters differ across shard sections");
     }
   }
 
@@ -1121,6 +1122,7 @@ Status ShardedSetSimilarityIndex::LoadShardFromPayloads(
     if (index.ok()) {
       sh.index = std::make_unique<SetSimilarityIndex>(std::move(index).value());
       if (layout_.points.empty()) layout_ = sh.index->layout();
+      if (!embedding_.has_value()) embedding_.emplace(sh.index->embedding());
       return Status::OK();
     }
     idx_status = index.status();
@@ -1129,13 +1131,12 @@ Status ShardedSetSimilarityIndex::LoadShardFromPayloads(
 
   // The index snapshot is beyond saving but the store survived: rebuild the
   // shard's index from its records. Deterministic under the configured
-  // seeds, so the shard keeps serving with zero data loss. Needs the layout,
-  // which comes from the first successfully loaded shard index.
+  // seeds, so the shard keeps serving with zero data loss. Needs the layout
+  // and the embedding, which come from the first successfully loaded shard
+  // index.
   if (!layout_.points.empty()) {
-    IndexOptions index_options = options_.index;
-    index_options.metrics_scope = scope + "/index";
     auto rebuilt = SetSimilarityIndex::Build(*sh.store, layout_,
-                                             index_options);
+                                             ShardIndexOptions(s));
     if (rebuilt.ok()) {
       sh.index =
           std::make_unique<SetSimilarityIndex>(std::move(rebuilt).value());

@@ -47,6 +47,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -55,6 +56,7 @@
 #include "core/set_similarity_index.h"
 #include "exec/atomic_slot_array.h"
 #include "exec/epoch.h"
+#include "hamming/embedding.h"
 #include "shard/shard_map.h"
 #include "storage/set_store.h"
 #include "storage/snapshot.h"
@@ -172,8 +174,20 @@ class ShardedSetSimilarityIndex {
   /// Serial reference scatter/gather: queries shards 0..P-1 in order on the
   /// calling thread and merges. Identical answers (and failure semantics)
   /// to QueryRouter::Query — the differential harness holds the two equal.
+  /// A malformed query (ValidateRangeQuery) fails InvalidArgument before
+  /// any shard is consulted. Each shard signs the query itself.
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2) const;
+
+  /// The embedding every shard signs with. Shards agree on EmbeddingParams:
+  /// Build gives them one, Load rejects skew (NotSupported), and grown
+  /// shards and salvage rebuilds take the loaded shards' params, never the
+  /// caller's. QueryRouter signs each query once with it and hands the
+  /// signature to every shard. Null only when a salvage load kept no shard
+  /// index.
+  const Embedding* embedding() const {
+    return embedding_.has_value() ? &*embedding_ : nullptr;
+  }
 
   std::uint32_t num_shards() const {
     return num_shards_.load(std::memory_order_seq_cst);
@@ -335,7 +349,10 @@ class ShardedSetSimilarityIndex {
   /// every other shard loads intact and keeps serving; the RecoveryReport
   /// counts the quarantined records. The caller quiesces mutations and any
   /// active rebalance driver for the duration of the save (the durability
-  /// protocol's checkpoint contract).
+  /// protocol's checkpoint contract). Load keeps the embedding the shards
+  /// were saved under — for shards grown or rebuilt later too — whatever
+  /// `options.index.embedding` says; shards saved under different
+  /// EmbeddingParams are NotSupported.
   Status SaveTo(std::ostream& out) const;
   static Result<ShardedSetSimilarityIndex> Load(
       std::istream& in, const ShardedIndexOptions& options,
@@ -374,6 +391,10 @@ class ShardedSetSimilarityIndex {
   /// Allocates shard s's Shard object + store and publishes it in the slot
   /// table (does not bump num_shards_).
   Status CreateShard(std::uint32_t s);
+
+  /// Options for building shard s's index: the caller's index options under
+  /// the shard's metrics scope, signing with embedding_ once it is known.
+  IndexOptions ShardIndexOptions(std::uint32_t s) const;
 
   Shard& ShardAt(std::uint32_t s) const { return *shards_.Get(s); }
 
@@ -417,6 +438,9 @@ class ShardedSetSimilarityIndex {
 
   ShardedIndexOptions options_;
   IndexLayout layout_;
+  /// Set by Build from its first shard, by Load from the first loaded shard
+  /// index (alongside layout_); never changes afterwards.
+  std::optional<Embedding> embedding_;
   std::string base_scope_;
   ShardMap map_;
   /// Reader path: shards_.Get(s) for s < num_shards_. Slots are published

@@ -71,6 +71,13 @@ class SetStore {
   /// executor gives each worker one view and merges io_stats() deltas into
   /// per-query stats; process-wide store counters (gets, failures, latency)
   /// are still shared, which is safe (relaxed atomics).
+  ///
+  /// A view is meant to outlive many queries: the batch executor keeps one
+  /// per worker for a batch, the query router one per (worker, shard) for
+  /// its lifetime, so the pool stays warm and construction — the only step
+  /// that registers metrics — happens once. The view reads the store only
+  /// inside Get/ScanAll; between calls it may outlive the store, as long as
+  /// it is then only destroyed or compared by store().
   class ReadView {
    public:
     /// `buffer_pool_pages` = 0 uses the store's configured pool capacity.
@@ -78,6 +85,9 @@ class SetStore {
     /// "<store-scope>/view/N" metrics scope so views never share counters.
     explicit ReadView(const SetStore& store,
                       std::size_t buffer_pool_pages = 0);
+
+    /// The store this view reads (identity only once the store is gone).
+    const SetStore* store() const { return store_; }
 
     /// Identical semantics to SetStore::Get (fault retries included), but
     /// charges this view's pool and cost model only.

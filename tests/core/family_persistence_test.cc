@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include "core/set_similarity_index.h"
+#include "exec/epoch.h"
+#include "shard/query_router.h"
 #include "shard/sharded_index.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
@@ -325,31 +328,48 @@ TEST(FamilyPersistenceTest, TruncationMatrixNeverYieldsAWrongAnswer) {
   }
 }
 
-TEST(FamilyPersistenceTest, ShardedFamilySkewIsNotSupported) {
-  Rng rng(77);
+// A two-shard index over 60 random sets: the input of the sharded
+// embedding cases below.
+struct ShardedFixture {
   SetCollection sets;
+  shard::ShardedIndexOptions options;
+  std::unique_ptr<shard::ShardedSetSimilarityIndex> index;
+};
+
+std::unique_ptr<ShardedFixture> BuildShardedFixture() {
+  auto f = std::make_unique<ShardedFixture>();
+  Rng rng(77);
   for (int i = 0; i < 60; ++i) {
     ElementSet s;
     const std::size_t size = 8 + rng.Uniform(40);
     for (std::size_t j = 0; j < size; ++j) s.push_back(rng.Uniform(4000));
     NormalizeSet(s);
     if (s.empty()) s.push_back(1);
-    sets.push_back(s);
+    f->sets.push_back(s);
   }
   IndexLayout layout;
   layout.delta = 0.4;
   layout.points = {{0.4, FilterKind::kSimilarity, 6, 0},
                    {0.75, FilterKind::kSimilarity, 6, 0}};
-  shard::ShardedIndexOptions options;
-  options.num_shards = 2;
-  options.index.embedding.minhash.num_hashes = 40;
-  options.index.embedding.minhash.seed = 777;
-  options.index.seed = 4242;
-  auto built = shard::ShardedSetSimilarityIndex::Build(sets, layout, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  f->options.num_shards = 2;
+  f->options.index.embedding.minhash.num_hashes = 40;
+  f->options.index.embedding.minhash.seed = 777;
+  f->options.index.seed = 4242;
+  auto built =
+      shard::ShardedSetSimilarityIndex::Build(f->sets, layout, f->options);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return nullptr;
+  f->index = std::make_unique<shard::ShardedSetSimilarityIndex>(
+      std::move(built).value());
+  return f;
+}
 
+TEST(FamilyPersistenceTest, ShardedFamilySkewIsNotSupported) {
+  auto f = BuildShardedFixture();
+  ASSERT_NE(f, nullptr);
+  const shard::ShardedIndexOptions& options = f->options;
   std::stringstream buffer;
-  ASSERT_TRUE(built->SaveTo(buffer).ok());
+  ASSERT_TRUE(f->index->SaveTo(buffer).ok());
   std::string bytes = buffer.str();
 
   // Re-sign shard 1's nested snapshot as cminhash (fixing the nested
@@ -367,6 +387,21 @@ TEST(FamilyPersistenceTest, ShardedFamilySkewIsNotSupported) {
   EXPECT_TRUE(loaded.status().IsNotSupported())
       << loaded.status().ToString();
 
+  // Same family, different minhash seed (the u64 after num_hashes and
+  // value_bits in the options section): every EmbeddingParams field must
+  // agree across shards, since the router hands one signature to all.
+  std::string seed_skew = buffer.str();
+  RewriteSection(&seed_skew, "shard1_index", [](std::string* inner) {
+    RewriteSection(inner, "options", [](std::string* payload) {
+      PutU64(payload, 12, 778);
+    });
+  });
+  std::stringstream seed_in(seed_skew);
+  auto seed_loaded = shard::ShardedSetSimilarityIndex::Load(seed_in, options);
+  ASSERT_FALSE(seed_loaded.ok());
+  EXPECT_TRUE(seed_loaded.status().IsNotSupported())
+      << seed_loaded.status().ToString();
+
   // Control: the identical surgery writing the *same* family byte back is
   // a no-op and must load (proving the surgeon, not the skew, is benign).
   std::string control = buffer.str();
@@ -379,6 +414,54 @@ TEST(FamilyPersistenceTest, ShardedFamilySkewIsNotSupported) {
   auto control_loaded =
       shard::ShardedSetSimilarityIndex::Load(control_in, options);
   EXPECT_TRUE(control_loaded.ok()) << control_loaded.status().ToString();
+}
+
+// A sharded snapshot loaded with caller options that name another minhash
+// seed keeps signing under the saved one: shards the grow adds are built
+// with the loaded shards' embedding, so the router's one signature probes
+// them exactly as each shard's own signing would.
+TEST(FamilyPersistenceTest, ShardedLoadSignsGrownShardsWithSavedEmbedding) {
+  auto f = BuildShardedFixture();
+  ASSERT_NE(f, nullptr);
+  std::stringstream buffer;
+  ASSERT_TRUE(f->index->SaveTo(buffer).ok());
+
+  shard::ShardedIndexOptions other = f->options;
+  other.index.embedding.minhash.seed = 31337;
+  auto loaded = shard::ShardedSetSimilarityIndex::Load(buffer, other);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const EmbeddingParams saved = f->options.index.embedding;
+  ASSERT_NE(loaded->embedding(), nullptr);
+  EXPECT_TRUE(loaded->embedding()->params() == saved);
+
+  exec::EpochManager em;
+  loaded->EnableConcurrentWrites(&em);
+  shard::QueryRouterOptions router_options;
+  router_options.num_threads = 2;
+  shard::QueryRouter router(*loaded, router_options);
+  ASSERT_TRUE(loaded->RebalanceTo(4).ok());
+  for (std::uint32_t s = 0; s < loaded->num_shards(); ++s) {
+    EXPECT_TRUE(loaded->shard_index(s)->embedding().params() == saved)
+        << "shard " << s;
+  }
+  Rng rng(79);
+  for (int i = 0; i < 12; ++i) {
+    const ElementSet& q = f->sets[rng.Uniform(f->sets.size())];
+    const double lo = (i % 3) * 0.3;
+    auto serial = loaded->Query(q, lo, 1.0);
+    auto routed = router.Query(q, lo, 1.0);
+    auto original = f->index->Query(q, lo, 1.0);
+    ASSERT_TRUE(serial.ok() && routed.ok() && original.ok());
+    EXPECT_EQ(routed->sids, serial->sids) << "query " << i;
+    EXPECT_EQ(serial->sids, original->sids) << "query " << i;
+    ASSERT_EQ(routed->per_shard.size(), serial->per_shard.size());
+    for (std::size_t s = 0; s < serial->per_shard.size(); ++s) {
+      EXPECT_EQ(routed->per_shard[s].candidates,
+                serial->per_shard[s].candidates)
+          << "query " << i << ", shard " << s;
+    }
+  }
+  em.Quiesce();
 }
 
 TEST(FamilyPersistenceTest, CheckpointRecoveryPreservesFamilyAndReplays) {

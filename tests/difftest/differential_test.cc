@@ -233,7 +233,9 @@ class Workload {
 
   // Runs `queries` through every executor and asserts the differential
   // contract: executor identity, precision against the oracle, full-range
-  // exactness, and the QueryStats invariants.
+  // exactness, and the QueryStats invariants. The router answers each query
+  // twice: in one RunBatch (every shard signs for itself) and one at a time
+  // (signed once, the signature handed to every shard).
   void CheckAll(const std::vector<RangeQuery>& queries) {
     // Batch inputs once: batch executor over the single index, router over
     // the P=4 sharded index.
@@ -302,6 +304,31 @@ class Workload {
 
       ASSERT_EQ(routed.results[i].sids, reference)
           << "query router diverged on query " << i << "\n" << Repro(seed_);
+
+      auto routed_one = router.Query(q.query, q.sigma1, q.sigma2);
+      ASSERT_TRUE(routed_one.ok()) << routed_one.status().ToString() << "\n"
+                                   << Repro(seed_);
+      ASSERT_EQ(routed_one->sids, reference)
+          << "routed single query diverged on query " << i << "\n"
+          << Repro(seed_);
+      ASSERT_FALSE(routed_one->partial) << Repro(seed_);
+      CheckStats(routed_one->stats, i, "routed");
+      // The handed-over signature must probe exactly what each shard's own
+      // signing probes: per-shard counters equal the serial P=4 scatter's.
+      auto serial_p4 = ShardedAt(4)->Query(q.query, q.sigma1, q.sigma2);
+      ASSERT_TRUE(serial_p4.ok()) << Repro(seed_);
+      ASSERT_EQ(routed_one->per_shard.size(), serial_p4->per_shard.size());
+      for (std::size_t s = 0; s < serial_p4->per_shard.size(); ++s) {
+        const QueryStats& a = routed_one->per_shard[s];
+        const QueryStats& b = serial_p4->per_shard[s];
+        ASSERT_EQ(a.plan, b.plan) << "shard " << s << "\n" << Repro(seed_);
+        ASSERT_EQ(a.candidates, b.candidates)
+            << "shard " << s << ", query " << i << "\n" << Repro(seed_);
+        ASSERT_EQ(a.bucket_accesses, b.bucket_accesses) << Repro(seed_);
+        ASSERT_EQ(a.sids_scanned, b.sids_scanned) << Repro(seed_);
+        ASSERT_EQ(a.sets_fetched, b.sets_fetched) << Repro(seed_);
+        ASSERT_EQ(a.results, b.results) << Repro(seed_);
+      }
 
       if (::testing::Test::HasFatalFailure()) return;
     }

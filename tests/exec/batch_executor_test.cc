@@ -265,7 +265,8 @@ TEST_F(BatchExecutorTest, PartialResultsUnderReadFaultsShrinkButNeverLie) {
 TEST_F(BatchExecutorTest, QueryThroughScratchReuseMatchesQuery) {
   // The probe-union scratch buffer is an allocation optimization, never a
   // correctness input: one view + one scratch reused across many queries
-  // answers identically to fresh serial queries.
+  // answers identically to fresh serial queries. So is a signature the
+  // caller computed with the index's embedding.
   auto f = BuildFixture(200);
   ASSERT_NE(f, nullptr);
   SetStore::ReadView view(f->store);
@@ -273,12 +274,26 @@ TEST_F(BatchExecutorTest, QueryThroughScratchReuseMatchesQuery) {
   for (const BatchQuery& q : MakeBatch(*f, 25, 66)) {
     auto through =
         f->index->QueryThrough(view, q.query, q.sigma1, q.sigma2, &scratch);
+    const Signature signature = f->index->embedding().Sign(q.query);
+    auto signed_through = f->index->QueryThrough(
+        view, q.query, q.sigma1, q.sigma2, &scratch, &signature);
     auto serial = f->index->Query(q.query, q.sigma1, q.sigma2);
     ASSERT_TRUE(through.ok()) << through.status().ToString();
+    ASSERT_TRUE(signed_through.ok()) << signed_through.status().ToString();
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(through->sids, serial->sids);
     EXPECT_EQ(through->stats.bucket_accesses, serial->stats.bucket_accesses);
+    EXPECT_EQ(signed_through->sids, serial->sids);
+    EXPECT_EQ(signed_through->stats.candidates, serial->stats.candidates);
   }
+  // A signature of another dimension cannot have come from this index.
+  const BatchQuery q = MakeBatch(*f, 1, 67)[0];
+  const Signature truncated(
+      f->index->embedding().hasher().params().num_hashes - 1);
+  auto rejected = f->index->QueryThrough(view, q.query, q.sigma1, q.sigma2,
+                                         &scratch, &truncated);
+  EXPECT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // QueryRouter equivalence and scheduling tests: parallel scatter/gather
 // answers are identical to the serial ShardedSetSimilarityIndex::Query at
 // every worker count, batches match query-at-a-time routing, failure
-// semantics follow the ShardFailurePolicy, and the modeled makespan
-// bookkeeping behaves. These run under TSan in CI (tsan-critical label) —
+// semantics follow the ShardFailurePolicy, the modeled makespan
+// bookkeeping behaves, and steady-state queries leave the metrics registry
+// alone. These run under TSan in CI (tsan-critical label) —
 // the scatter path is the only place shard stores are read concurrently.
 
 #include "shard/query_router.h"
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "shard/sharded_index.h"
 #include "util/random.h"
 #include "util/set_ops.h"
@@ -215,6 +217,27 @@ TEST(QueryRouterTest, DegradedShardFailsQueriesUnderFailFast) {
   for (const Status& st : result.statuses) {
     EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   }
+}
+
+// Views and probe scratch persist per (worker, shard): once every worker
+// has met its shards, routed queries register nothing in the metrics
+// registry (each fresh ReadView registers a scope of six counters).
+TEST(QueryRouterTest, SteadyStateQueriesRegisterNoMetrics) {
+  auto f = BuildFixture(200, 4);
+  ASSERT_NE(f, nullptr);
+  QueryRouterOptions options;
+  options.num_threads = 4;
+  QueryRouter router(*f->index, options);
+  const auto batch = MakeBatch(*f, 40, 77);
+  ASSERT_TRUE(router.Query(batch[0].query, batch[0].sigma1, batch[0].sigma2)
+                  .ok());
+  const std::size_t entries =
+      obs::MetricsRegistry::Default().Entries().size();
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const exec::BatchQuery& q = batch[i % batch.size()];
+    ASSERT_TRUE(router.Query(q.query, q.sigma1, q.sigma2).ok()) << i;
+  }
+  EXPECT_EQ(obs::MetricsRegistry::Default().Entries().size(), entries);
 }
 
 TEST(QueryRouterTest, SingleShardRoutingDegeneratesToPlainBatching) {

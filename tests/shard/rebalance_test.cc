@@ -22,6 +22,7 @@
 #include "core/set_similarity_index.h"
 #include "exec/epoch.h"
 #include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
 #include "storage/recovery.h"
@@ -353,6 +354,64 @@ TEST_F(RebalanceTest, ConcurrentReadersDuringRebalanceNeverSeeAWrongAnswer) {
   ASSERT_TRUE(final_answer.ok());
   EXPECT_EQ(final_answer->sids, truth);
   EXPECT_EQ(index.num_shards(), 3u);
+}
+
+// One router held across a finished grow and a finished shrink: its
+// per-(worker, shard) views follow the shard slots, so routed answers and
+// per-shard stats stay those of the serial scatter at every shard count,
+// and shards the grow added get their own latency histograms.
+TEST_F(RebalanceTest, RouterHeldAcrossRebalanceMatchesSerial) {
+  const SetCollection sets = MakeSets(80, 97531);
+  exec::EpochManager em;
+  ShardedSetSimilarityIndex index = BuildAt(sets, 2);
+  index.EnableConcurrentWrites(&em);
+  QueryRouterOptions router_options;
+  router_options.num_threads = 2;
+  QueryRouter router(index, router_options);
+
+  const auto check_routed_equals_serial = [&](const char* phase) {
+    Rng rng(6161);
+    for (int i = 0; i < 16; ++i) {
+      const ElementSet& q = sets[rng.Uniform(sets.size())];
+      const double lo = (i % 4) * 0.25;
+      auto serial = index.Query(q, lo, 1.0);
+      auto routed = router.Query(q, lo, 1.0);
+      ASSERT_TRUE(serial.ok() && routed.ok()) << phase;
+      EXPECT_EQ(routed->sids, serial->sids) << phase << ", query " << i;
+      EXPECT_EQ(routed->partial, serial->partial) << phase;
+      EXPECT_EQ(routed->rebalancing, serial->rebalancing) << phase;
+      EXPECT_EQ(routed->degraded_shards, serial->degraded_shards) << phase;
+      ASSERT_EQ(routed->per_shard.size(), index.num_shards()) << phase;
+      ASSERT_EQ(serial->per_shard.size(), index.num_shards()) << phase;
+      for (std::size_t s = 0; s < serial->per_shard.size(); ++s) {
+        const QueryStats& a = routed->per_shard[s];
+        const QueryStats& b = serial->per_shard[s];
+        EXPECT_EQ(a.candidates, b.candidates) << phase << ", shard " << s;
+        EXPECT_EQ(a.bucket_accesses, b.bucket_accesses) << phase;
+        EXPECT_EQ(a.sids_scanned, b.sids_scanned) << phase;
+        EXPECT_EQ(a.sets_fetched, b.sets_fetched) << phase;
+        EXPECT_EQ(a.results, b.results) << phase;
+      }
+    }
+  };
+  const auto shard_latency = [&](std::uint32_t s) {
+    return obs::MetricsRegistry::Default().GetHistogram(
+        "ssr_router_shard_latency_micros",
+        router.metrics_scope() + "/shard/" + std::to_string(s),
+        obs::LatencyBoundsMicros());
+  };
+
+  check_routed_equals_serial("P=2");
+  ASSERT_TRUE(index.RebalanceTo(4).ok());
+  ASSERT_EQ(index.num_shards(), 4u);
+  check_routed_equals_serial("grown to P=4");
+  for (std::uint32_t s : {2u, 3u}) {
+    EXPECT_GT(shard_latency(s)->count(), 0u) << "grown shard " << s;
+  }
+  ASSERT_TRUE(index.RebalanceTo(1).ok());
+  ASSERT_EQ(index.num_shards(), 1u);
+  check_routed_equals_serial("shrunk to P=1");
+  em.Quiesce();
 }
 
 // A shrink-retired slot is not a failed shard: it was verified empty before

@@ -436,13 +436,18 @@ TEST(ShardedIndexTest, SalvageRebuildsAnIndexWithADamagedIndexSection) {
   salvage.salvage = true;
   salvage.report = &report;
   std::istringstream damaged(blob);
-  auto loaded =
-      ShardedSetSimilarityIndex::Load(damaged, TestOptions(0), salvage);
+  // The caller's options name another minhash seed: the rebuild must still
+  // sign with the embedding the surviving shards were saved under.
+  ShardedIndexOptions other_seed = TestOptions(0);
+  other_seed.index.embedding.minhash.seed = 31337;
+  auto loaded = ShardedSetSimilarityIndex::Load(damaged, other_seed, salvage);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(report.salvaged);
   EXPECT_EQ(report.signatures_rebuilt, built->shard_store(2)->size());
   EXPECT_FALSE(loaded->shard_degraded(2));
   EXPECT_EQ(loaded->num_live_sets(), sets.size());
+  EXPECT_TRUE(loaded->shard_index(2)->embedding().params() ==
+              TestOptions(0).index.embedding);
 
   Rng rng(66);
   for (int t = 0; t < 10; ++t) {
