@@ -1,6 +1,5 @@
 #include "minhash/simd.h"
 
-#include <cstdlib>
 #include <limits>
 
 #include "util/hash.h"
@@ -16,28 +15,6 @@ namespace {
 constexpr std::uint64_t kFmixM1 = 0xff51afd7ed558ccdULL;
 constexpr std::uint64_t kFmixM2 = 0xc4ceb9fe1a85ec53ULL;
 }  // namespace
-
-bool Avx2Compiled() {
-#if defined(SSR_SIMD_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool Avx2Runtime() {
-#if defined(SSR_SIMD_AVX2)
-  static const bool available = [] {
-    if (const char* env = std::getenv("SSR_NO_SIMD")) {
-      if (env[0] != '\0' && env[0] != '0') return false;
-    }
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
 
 void ClassicMinScalar(const std::uint64_t* derived, std::size_t k,
                       const ElementId* elems, std::size_t n,

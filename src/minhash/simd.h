@@ -7,13 +7,12 @@
 // outputs are bit-identical by construction; the dispatch-parity test
 // (tests/minhash/dispatch_parity_test.cc) pins that.
 //
-// Dispatch strategy: the AVX2 variants are compiled behind the SSR_SIMD
-// CMake option using __attribute__((target("avx2"))) — no special compiler
-// flags, so the rest of the translation unit stays baseline x86-64 — and
-// selected at runtime via __builtin_cpu_supports("avx2"). When SSR_SIMD is
-// OFF, on non-x86 targets, or on pre-AVX2 hardware, the *Auto entry points
-// degrade to the scalar loops. SSR_NO_SIMD=1 in the environment forces the
-// scalar path at runtime (used by benches to measure the fallback).
+// Dispatch strategy: the library's one SIMD gate (util/simd.h), shared with
+// the set-intersection kernels. The AVX2 variants carry
+// __attribute__((target("avx2"))) and are compiled only when SSR_SIMD is ON;
+// the *Auto entry points pick them when Avx2Runtime() holds and degrade to
+// the scalar loops otherwise (SSR_SIMD=OFF, non-x86, pre-AVX2 hardware, or
+// SSR_NO_SIMD=1 in the environment).
 
 #ifndef SSR_MINHASH_SIMD_H_
 #define SSR_MINHASH_SIMD_H_
@@ -21,18 +20,11 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/simd.h"
 #include "util/types.h"
 
 namespace ssr {
 namespace simd {
-
-/// True iff the AVX2 kernels were compiled in (SSR_SIMD=ON on x86-64).
-bool Avx2Compiled();
-
-/// True iff the AVX2 kernels will actually run: compiled in, the CPU
-/// reports AVX2, and SSR_NO_SIMD is not set in the environment. Resolved
-/// once per process.
-bool Avx2Runtime();
 
 /// Classic k-permutation kernel: minima[i] = min over e in [elems, elems+n)
 /// of Fmix64(e ^ derived[i]) for i in [0, k). `minima` must be

@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -89,10 +90,10 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
   if (!locator.valid() || locator.page >= pages_.size()) {
     return Status::InvalidArgument("record locator out of range");
   }
+  if (is_quarantined(locator.page)) {
+    return Status::DataLoss("record page quarantined by recovery");
+  }
   if (!locator.is_spanned()) {
-    if (is_quarantined(locator.page)) {
-      return Status::DataLoss("record page quarantined by recovery");
-    }
     const Page& p = pages_[locator.page];
     if (is_span_page_[locator.page]) {
       return Status::Corruption("slotted locator points to span page");
@@ -102,24 +103,29 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
       return Status::NotFound("slot out of range");
     }
     if (pages_touched != nullptr) pages_touched->push_back(locator.page);
-    const std::uint16_t offset =
-        p.ReadU16(kPageSize - 2 * (static_cast<std::size_t>(locator.slot) + 1));
+    // A page whose CRC checks out can still hold a bad slot directory (the
+    // CRC covers whatever bytes were saved), so bound each read before
+    // making it: the directory entry, then the 8-byte record header.
+    const std::size_t dir_bytes =
+        2 * (static_cast<std::size_t>(locator.slot) + 1);
+    if (dir_bytes > kPageSize - kHeaderBytes) {
+      return Status::Corruption("slot directory entry outside page");
+    }
+    const std::size_t offset = p.ReadU16(kPageSize - dir_bytes);
+    if (offset < kHeaderBytes || offset + 8 > kPageSize) {
+      return Status::Corruption("record header outside page");
+    }
     const SetId sid = p.ReadU32(offset);
     const std::uint32_t count = p.ReadU32(offset + 4);
     if (offset + RecordBytes(count) > kPageSize) {
       return Status::Corruption("record overruns page");
     }
     ElementSet set(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      set[i] = p.ReadU64(offset + 8 + 8 * i);
-    }
+    if (count > 0) p.ReadBytes(offset + 8, set.data(), 8 * set.size());
     if (sid_out != nullptr) *sid_out = sid;
     return set;
   }
   // Spanned record.
-  if (is_quarantined(locator.page)) {
-    return Status::DataLoss("record page quarantined by recovery");
-  }
   if (!is_span_page_[locator.page]) {
     return Status::Corruption("spanned locator points to slotted page");
   }
@@ -136,18 +142,20 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
       return Status::DataLoss("spanned record crosses quarantined page");
     }
   }
-  std::vector<std::uint8_t> buf(bytes);
-  std::size_t read = 0;
+  // The ids follow the 8-byte header on the first page and run on through
+  // the rest: copy each page's share straight into the set.
+  ElementSet set(count);
+  auto* out = reinterpret_cast<std::uint8_t*>(set.data());
+  const std::size_t id_bytes = bytes - 8;
+  std::size_t copied = 0;
   for (std::size_t i = 0; i < num_span_pages; ++i) {
     const PageId pid = locator.page + static_cast<PageId>(i);
     if (pages_touched != nullptr) pages_touched->push_back(pid);
-    const std::size_t chunk =
-        bytes - read < kPageSize ? bytes - read : kPageSize;
-    pages_[pid].ReadBytes(0, buf.data() + read, chunk);
-    read += chunk;
+    const std::size_t start = i == 0 ? 8 : 0;
+    const std::size_t chunk = std::min(kPageSize - start, id_bytes - copied);
+    if (chunk > 0) pages_[pid].ReadBytes(start, out + copied, chunk);
+    copied += chunk;
   }
-  ElementSet set(count);
-  std::memcpy(set.data(), buf.data() + 8, 8 * count);
   if (sid_out != nullptr) *sid_out = sid;
   return set;
 }

@@ -46,7 +46,9 @@ class HeapFile {
 
   /// Reads the record at `locator`. `pages_touched`, if non-null, receives
   /// the ids of every page the read touched (the caller charges I/O through
-  /// its buffer pool). Fails on invalid locators or corrupt slots.
+  /// its buffer pool). Fails on invalid locators, and with Corruption when
+  /// the slot's directory entry, record header or record lies outside its
+  /// page (a CRC-clean snapshot can still carry such a slot).
   Result<ElementSet> Read(const RecordLocator& locator, SetId* sid_out,
                           std::vector<PageId>* pages_touched) const;
 

@@ -16,6 +16,15 @@ SetStoreOptions ResolveMetricsScope(SetStoreOptions options) {
   }
   return options;
 }
+
+// The last page a record touches: its own page when slotted; a spanned
+// record runs on through consecutive pages.
+PageId LastPageOf(const RecordLocator& loc, std::size_t num_elements) {
+  if (!loc.is_spanned()) return loc.page;
+  const std::size_t pages =
+      (HeapFile::RecordBytes(num_elements) + kPageSize - 1) / kPageSize;
+  return loc.page + static_cast<PageId>(pages) - 1;
+}
 }  // namespace
 
 SetStore::SetStore(SetStoreOptions options)
@@ -103,13 +112,18 @@ Result<ElementSet> SetStore::Get(SetId sid) {
   // Exclusive: the fetch mutates the shared pool's LRU state and the I/O
   // counters. Concurrent readers use ReadView (private pool, shared lock).
   std::unique_lock<std::shared_mutex> lock(mu_);
+  return GetLocked(sid, pool_, io_);
+}
+
+Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
+                                       IoCostModel& io) const {
   gets_->Increment();
   Stopwatch watch;
   std::size_t nodes = 0;
   auto loc = btree_.Find(sid, &nodes);
   if (!loc.ok()) return loc.status();
   if (options_.charge_btree_io) {
-    io_.ChargeRandomRead(nodes);
+    io.ChargeRandomRead(nodes);
   }
   // The page fetch is where transient device faults land ("store/get"
   // site); retry those before letting the error escape to the query layer.
@@ -117,15 +131,15 @@ Result<ElementSet> SetStore::Get(SetId sid) {
       options_.get_retry, [&]() -> Result<ElementSet> {
         SSR_RETURN_IF_ERROR(
             fault::FaultInjector::Default().CheckStatus("store/get"));
-        std::vector<PageId> touched;
         SetId stored_sid = kInvalidSetId;
-        auto set = file_.Read(loc.value(), &stored_sid, &touched);
+        auto set = file_.Read(loc.value(), &stored_sid, nullptr);
         if (!set.ok()) return set.status();
         if (stored_sid != sid) {
           return Status::Corruption("sid mismatch in heap record");
         }
-        for (PageId pid : touched) {
-          pool_.Access(pid, /*sequential=*/false, io_);
+        const PageId last = LastPageOf(loc.value(), set->size());
+        for (PageId pid = loc->page; pid <= last; ++pid) {
+          pool.Access(pid, /*sequential=*/false, io);
         }
         return set;
       });
@@ -144,38 +158,11 @@ SetStore::ReadView::ReadView(const SetStore& store,
       io_(store.options_.io, pool_.metrics_scope()) {}
 
 Result<ElementSet> SetStore::ReadView::Get(SetId sid) {
-  // Mirrors SetStore::Get, but every mutable touch lands on this view's
-  // private pool_/io_; the shared structures (btree_, file_) are only
-  // read, under the store's shared lock so writers are excluded.
+  // Every mutable touch lands on this view's private pool_/io_; the shared
+  // structures (btree_, file_) are only read, under the store's shared lock
+  // so writers are excluded.
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  store_->gets_->Increment();
-  Stopwatch watch;
-  std::size_t nodes = 0;
-  auto loc = store_->btree_.Find(sid, &nodes);
-  if (!loc.ok()) return loc.status();
-  if (store_->options_.charge_btree_io) {
-    io_.ChargeRandomRead(nodes);
-  }
-  auto result = fault::RetryWithPolicy(
-      store_->options_.get_retry, [&]() -> Result<ElementSet> {
-        SSR_RETURN_IF_ERROR(
-            fault::FaultInjector::Default().CheckStatus("store/get"));
-        std::vector<PageId> touched;
-        SetId stored_sid = kInvalidSetId;
-        auto set = store_->file_.Read(loc.value(), &stored_sid, &touched);
-        if (!set.ok()) return set.status();
-        if (stored_sid != sid) {
-          return Status::Corruption("sid mismatch in heap record");
-        }
-        for (PageId pid : touched) {
-          pool_.Access(pid, /*sequential=*/false, io_);
-        }
-        return set;
-      });
-  if (!result.ok()) store_->fetch_failures_->Increment();
-  store_->get_latency_hist_->Observe(
-      static_cast<double>(watch.ElapsedMicros()));
-  return result;
+  return store_->GetLocked(sid, pool_, io_);
 }
 
 Status SetStore::Delete(SetId sid) {
@@ -203,13 +190,8 @@ void ScanAllImpl(const HeapFile& file, const BPlusTree& btree, IoCostModel& io,
     if (stopped) return false;
     // Charge every page from the previous cursor position through this
     // record's last page.
-    std::size_t span_pages = 1;
-    if (loc.is_spanned()) {
-      span_pages =
-          (HeapFile::RecordBytes(set.size()) + kPageSize - 1) / kPageSize;
-    }
     const PageId first = loc.page;
-    const PageId last = loc.page + static_cast<PageId>(span_pages) - 1;
+    const PageId last = LastPageOf(loc, set.size());
     if (last_charged == kInvalidPageId || first > last_charged) {
       io.ChargeSequentialRead(last - first + 1);
       last_charged = last;

@@ -189,6 +189,12 @@ class SetStore {
   ~SetStore() = default;
 
  private:
+  // The one fetch path behind Get and ReadView::Get. The caller holds mu_
+  // (exclusive for the store's own pool, shared for a view's) and names the
+  // pool and cost model the fetch charges.
+  Result<ElementSet> GetLocked(SetId sid, BufferPool& pool,
+                               IoCostModel& io) const;
+
   // Guards file_/btree_/pool_/io_/next_sid_/live_bytes_: exclusive for
   // mutations and pool-touching reads, shared for ReadView fetches and
   // pure lookups. Declared first so it outlives every guarded member

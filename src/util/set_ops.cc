@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/simd.h"
+
 namespace ssr {
 
 void NormalizeSet(ElementSet& s) {
@@ -17,20 +19,11 @@ bool IsNormalizedSet(const ElementSet& s) {
 }
 
 std::size_t IntersectionSize(const ElementSet& a, const ElementSet& b) {
-  std::size_t count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
+  return simd::Avx2Runtime()
+             ? simd::IntersectionSizeAvx2(a.data(), a.size(), b.data(),
+                                          b.size())
+             : simd::IntersectionSizeScalar(a.data(), a.size(), b.data(),
+                                            b.size());
 }
 
 std::size_t UnionSize(const ElementSet& a, const ElementSet& b) {

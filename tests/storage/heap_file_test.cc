@@ -1,7 +1,12 @@
 #include "storage/heap_file.h"
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "storage/snapshot.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace ssr {
@@ -157,6 +162,72 @@ TEST(HeapFileTest, EmptySetRecord) {
   auto read = file.Read(loc.value(), nullptr, nullptr);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read.value().empty());
+}
+
+// A strict-loadable one-page heap file snapshot around `page`: every
+// section and page CRC checks out, whatever the page's slot directory says.
+std::string OnePageSnapshot(const Page& page) {
+  std::ostringstream out;
+  SnapshotWriter snapshot(out, "SSRHEAP", 2);
+  BinaryWriter& meta = snapshot.BeginSection("meta");
+  meta.WriteU64(1);               // pages
+  meta.WriteU32(kInvalidPageId);  // no page open for appends
+  meta.WriteU64(1);               // records
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  snapshot.BeginSection("spanmap").WriteVector(std::vector<std::uint8_t>{0});
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  snapshot.BeginSection("recdir").WriteVector(
+      std::vector<RecordLocator>{RecordLocator{0, 0}});
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  BinaryWriter& pages = snapshot.BeginSection("pages");
+  pages.WriteU32(Crc32(page.data(), kPageSize));
+  pages.WriteBytes(page.data(), kPageSize);
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  EXPECT_TRUE(snapshot.Finish().ok());
+  return out.str();
+}
+
+// Loads `page` strictly and reads slot `slot` of it.
+Status ReadSlot(const Page& page, std::uint16_t slot) {
+  std::istringstream in(OnePageSnapshot(page));
+  auto file = HeapFile::LoadFrom(in);
+  if (!file.ok()) return file.status();
+  return file->Read(RecordLocator{0, slot}, nullptr, nullptr).status();
+}
+
+// A slotted page whose directory says `slot_count` slots, with slot 0 at
+// `offset`.
+Page SlottedPage(std::uint16_t slot_count, std::uint16_t offset) {
+  Page page;
+  page.WriteU16(0, slot_count);
+  page.WriteU16(2, 4);  // free offset: just past the page header
+  page.WriteU16(kPageSize - 2, offset);
+  return page;
+}
+
+TEST(HeapFileTest, RecordHeaderPastPageEndIsCorruption) {
+  // The 8-byte record header at 4094 would run past the 4 KiB page.
+  EXPECT_TRUE(ReadSlot(SlottedPage(1, kPageSize - 2), 0).IsCorruption());
+  EXPECT_TRUE(ReadSlot(SlottedPage(1, kPageSize - 7), 0).IsCorruption());
+  // An offset inside the page header.
+  EXPECT_TRUE(ReadSlot(SlottedPage(1, 0), 0).IsCorruption());
+  EXPECT_TRUE(ReadSlot(SlottedPage(1, 3), 0).IsCorruption());
+  // The first offset past the page header holds a valid empty record.
+  EXPECT_TRUE(ReadSlot(SlottedPage(1, 4), 0).ok());
+}
+
+TEST(HeapFileTest, SlotDirectoryEntryOutsidePageIsCorruption) {
+  // With a huge slot count, slot 2048's directory entry would sit at
+  // kPageSize - 2 * 2049, which wraps around below the page start.
+  const Page page = SlottedPage(0xfffe, 4);
+  EXPECT_TRUE(ReadSlot(page, 2048).IsCorruption());
+  EXPECT_TRUE(ReadSlot(page, 0xfffd).IsCorruption());
+  // Slot 2046's entry would overlap the page header itself.
+  EXPECT_TRUE(ReadSlot(page, 2046).IsCorruption());
+  // Slot 2045's entry is the last one the page can hold; it reads 0, an
+  // offset inside the header.
+  EXPECT_TRUE(ReadSlot(page, 2045).IsCorruption());
+  EXPECT_TRUE(ReadSlot(page, 0).ok());
 }
 
 }  // namespace
