@@ -25,7 +25,6 @@
 #include "core/set_similarity_index.h"
 #include "core/sfi.h"
 #include "hamming/embedding.h"
-#include "storage/bplus_tree.h"
 #include "storage/set_store.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -317,35 +316,6 @@ void BM_SnapshotLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_SnapshotLoad);
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  Rng rng(7);
-  for (auto _ : state) {
-    state.PauseTiming();
-    BPlusTree tree(256);
-    state.ResumeTiming();
-    for (SetId k = 0; k < 10000; ++k) {
-      tree.Upsert(static_cast<SetId>(rng.Uniform(1 << 20)),
-                  RecordLocator{k, 0});
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_BPlusTreeInsert);
-
-void BM_BPlusTreeFind(benchmark::State& state) {
-  Rng rng(8);
-  BPlusTree tree(256);
-  for (SetId k = 0; k < 100000; ++k) {
-    tree.Upsert(k, RecordLocator{k, 0});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Find(static_cast<SetId>(rng.Uniform(100000))));
-  }
-}
-BENCHMARK(BM_BPlusTreeFind);
 
 }  // namespace
 }  // namespace ssr

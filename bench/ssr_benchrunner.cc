@@ -66,7 +66,6 @@
 #include "server/introspection_server.h"
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
-#include "storage/bplus_tree.h"
 #include "storage/recovery.h"
 #include "storage/set_store.h"
 #include "storage/wal.h"
@@ -123,20 +122,7 @@ int RunMicroSuite(bool quick, RunReport* report) {
         sig_words += embedding->Sign(a).values().size();
       }));
 
-  BPlusTree tree(256);
-  for (SetId k = 0; k < 100000; ++k) tree.Upsert(k, RecordLocator{k, 0});
-  std::size_t found = 0;
-  report->AddScalar(
-      "micro_btree_find_ns",
-      MicroLoop("micro_btree_find", quick ? 50000 : 500000,
-                [&](std::size_t) {
-                  found +=
-                      tree.Find(static_cast<SetId>(rng.Uniform(100000))).ok()
-                          ? 1
-                          : 0;
-                }));
   (void)sig_words;
-  (void)found;
   return 0;
 }
 
@@ -1455,7 +1441,7 @@ struct Suite {
 };
 
 constexpr Suite kSuites[] = {
-    {"micro", "single-thread primitive costs (jaccard, sign, btree find)",
+    {"micro", "single-thread primitive costs (jaccard, sign)",
      RunMicroSuite},
     {"signing", "signature engine v2: per-family sign cost + accuracy",
      RunSigningSuite},

@@ -9,17 +9,36 @@
 namespace ssr {
 namespace exec {
 
+namespace {
+std::vector<SetStore::ReadView> WorkerViews(const SetSimilarityIndex& index,
+                                            std::size_t workers,
+                                            std::size_t pool_pages) {
+  std::vector<SetStore::ReadView> views;
+  views.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    views.emplace_back(index.store(), pool_pages);
+  }
+  return views;
+}
+}  // namespace
+
 BatchExecutor::BatchExecutor(const SetSimilarityIndex& index,
                              BatchExecutorOptions options)
     : index_(&index),
       options_(options),
       owned_pool_(std::make_unique<ThreadPool>(
           ResolveThreadCount(options.num_threads))),
-      pool_(owned_pool_.get()) {}
+      pool_(owned_pool_.get()),
+      views_(WorkerViews(index, pool_->size(),
+                         options.view_buffer_pool_pages)) {}
 
 BatchExecutor::BatchExecutor(const SetSimilarityIndex& index, ThreadPool& pool,
                              BatchExecutorOptions options)
-    : index_(&index), options_(options), pool_(&pool) {}
+    : index_(&index),
+      options_(options),
+      pool_(&pool),
+      views_(WorkerViews(index, pool.size(),
+                         options.view_buffer_pool_pages)) {}
 
 BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   static obs::Counter* const batches =
@@ -40,13 +59,13 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   span.Tag("queries", static_cast<std::uint64_t>(queries.size()));
   span.Tag("workers", static_cast<std::uint64_t>(workers));
 
-  // Per-worker isolation: a private store view (buffer pool + I/O model)
-  // and a private probe-scratch buffer each. Built fresh per Run so a
-  // batch's I/O accounting starts from zero.
-  std::vector<SetStore::ReadView> views;
-  views.reserve(workers);
+  // Per-worker isolation: the worker's own store view (buffer pool + I/O
+  // model, warm from earlier Runs) and a private probe-scratch buffer. The
+  // views' I/O counters are read before and after, so a Run reports only
+  // its own I/O.
+  std::vector<IoStats> io_before(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    views.emplace_back(index_->store(), options_.view_buffer_pool_pages);
+    io_before[w] = views_[w].io_stats();
   }
   std::vector<std::vector<SetId>> scratch(workers);
 
@@ -69,7 +88,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
       0, queries.size(), options_.grain,
       [&](std::size_t i, std::size_t worker) {
         const BatchQuery& q = queries[i];
-        auto r = index_->QueryThrough(views[worker], q.query, q.sigma1,
+        auto r = index_->QueryThrough(views_[worker], q.query, q.sigma1,
                                       q.sigma2, &scratch[worker]);
         if (r.ok()) {
           out.results[i] = std::move(r).value();
@@ -107,7 +126,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   const IoCostParams& io_params = index_->store().io().params();
   for (std::size_t w = 0; w < workers; ++w) {
     out.worker_io_seconds[w] =
-        views[w].io_stats().SimulatedSeconds(io_params);
+        (views_[w].io_stats() - io_before[w]).SimulatedSeconds(io_params);
   }
   for (const Status& s : out.statuses) {
     if (!s.ok()) ++out.failed;

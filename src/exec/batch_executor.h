@@ -1,8 +1,10 @@
 // Concurrent batch-query executor: fans a batch of (q, [σ1, σ2]) queries
 // across a worker pool against an immutable SetSimilarityIndex. Each worker
-// gets a private SetStore::ReadView (its own buffer pool + I/O cost model)
-// and a private probe-scratch buffer, so the only shared state the workers
-// touch is read-only index structure and relaxed-atomic instruments.
+// gets a private SetStore::ReadView (its own buffer pool + I/O cost model),
+// kept for the executor's lifetime, and a private probe-scratch buffer, so
+// the only shared state the workers touch is read-only index structure and
+// relaxed-atomic instruments. Views are built once, in the constructor:
+// a Run registers no metrics.
 // Answers are identical to issuing the queries serially through
 // SetSimilarityIndex::Query.
 //
@@ -75,7 +77,8 @@ struct BatchResult {
   double wall_seconds = 0.0;
   double wall_qps = 0.0;
 
-  /// Per-worker totals: thread CPU time and simulated I/O time.
+  /// Per-worker totals for this Run: thread CPU time and simulated I/O
+  /// time.
   std::vector<double> worker_cpu_seconds;
   std::vector<double> worker_io_seconds;
 
@@ -102,15 +105,23 @@ class BatchExecutor {
                 BatchExecutorOptions options = {});
 
   /// Executes every query (order-preserving results) and blocks until done.
+  /// Issued from one thread at a time. The worker views stay warm across
+  /// Runs, so a later Run is charged I/O only for pages its views miss.
   BatchResult Run(const std::vector<BatchQuery>& queries);
 
   std::size_t num_threads() const { return pool_->size(); }
+
+  /// The index Run queries, and the store its worker views read.
+  const SetSimilarityIndex* index() const { return index_; }
+  const SetStore* store() const { return views_.front().store(); }
 
  private:
   const SetSimilarityIndex* index_;
   BatchExecutorOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null when sharing
   ThreadPool* pool_;                        // the pool Run schedules on
+  // One per pool worker, indexed by the ParallelFor worker id.
+  std::vector<SetStore::ReadView> views_;
 };
 
 }  // namespace exec

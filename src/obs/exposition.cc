@@ -71,6 +71,16 @@ const MetricHelpEntry kHelpTable[] = {
      "Observed precision estimated by the shadow oracle."},
     {"ssr_observed_recall",
      "Observed recall estimated by the shadow oracle."},
+    {"ssr_rebalance_active", "1 while an online shard rebalance is active."},
+    {"ssr_rebalance_begun_total", "Online shard rebalances begun."},
+    {"ssr_rebalance_finished_total", "Online shard rebalances finished."},
+    {"ssr_rebalance_moves_skipped_total",
+     "Planned rebalance moves skipped: the sid was erased or re-placed "
+     "after planning."},
+    {"ssr_rebalance_moves_total",
+     "Sets migrated between shards by rebalance moves."},
+    {"ssr_rebalance_pending_moves",
+     "Planned rebalance moves not yet executed."},
     {"ssr_recovery_pages_quarantined_total",
      "Pages quarantined by salvage recovery."},
     {"ssr_recovery_records_quarantined_total",

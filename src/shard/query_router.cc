@@ -38,6 +38,7 @@ void QueryRouter::EnsureShardState(std::uint32_t num_shards) {
         options_.metrics_scope + "/shard/" + std::to_string(s),
         obs::LatencyBoundsMicros()));
   }
+  shard_executors_.resize(num_shards);
   for (std::vector<WorkerShard>& row : worker_shards_) row.resize(num_shards);
 }
 
@@ -220,7 +221,7 @@ RoutedBatchResult QueryRouter::RunBatch(
   out.results.resize(queries.size());
   out.per_shard.resize(num_shards);
 
-  // Scatter: each shard runs the whole batch through a BatchExecutor on
+  // Scatter: each shard runs the whole batch through its BatchExecutor on
   // the router's shared pool. Shard batches execute one after another on
   // this host (the pool is not reentrant), but deploy to one machine per
   // shard — the modeled makespan below is the slowest shard, not the sum.
@@ -236,11 +237,16 @@ RoutedBatchResult QueryRouter::RunBatch(
     }
     obs::TraceSpan shard_span("router_shard_batch");
     shard_span.Tag("shard", static_cast<std::uint64_t>(s));
-    exec::BatchExecutorOptions exec_options;
-    exec_options.grain = options_.batch_grain;
-    exec_options.view_buffer_pool_pages = options_.view_buffer_pool_pages;
-    exec::BatchExecutor executor(*shard_index, pool_, exec_options);
-    out.per_shard[s] = executor.Run(queries);
+    std::unique_ptr<exec::BatchExecutor>& executor = shard_executors_[s];
+    if (executor == nullptr || executor->index() != shard_index ||
+        executor->store() != &shard_index->store()) {
+      exec::BatchExecutorOptions exec_options;
+      exec_options.grain = options_.batch_grain;
+      exec_options.view_buffer_pool_pages = options_.view_buffer_pool_pages;
+      executor = std::make_unique<exec::BatchExecutor>(*shard_index, pool_,
+                                                       exec_options);
+    }
+    out.per_shard[s] = executor->Run(queries);
     // One observation per batch: the shard's host wall clock, the honest
     // per-shard figure the latency histogram tracks in batch mode.
     shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);

@@ -11,7 +11,10 @@
 // view is rebuilt only when its shard slot holds a different store after a
 // grow or shrink. A batch goes through one BatchExecutor per shard, every
 // executor scheduling on the router's one shared pool (each shard signs
-// its batch itself). Either way the gather merges per-shard answers *in
+// its batch itself). The router keeps each shard's executor, and with it
+// that executor's worker views, rebuilding it only when the slot holds a
+// different index or store, so steady-state batches register no metrics
+// either. Either way the gather merges per-shard answers *in
 // shard order* with the same helpers the serial
 // ShardedSetSimilarityIndex::Query uses — router answers are bit-identical
 // to serial answers, which the differential harness (tests/difftest/)
@@ -120,8 +123,8 @@ class QueryRouter {
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2);
 
-  /// A batch of queries: one BatchExecutor per shard on the router's pool
-  /// (shard batches run one after another on this host; the modeled
+  /// A batch of queries: each shard's kept BatchExecutor on the router's
+  /// pool (shard batches run one after another on this host; the modeled
   /// makespan treats them as concurrent machines), then a per-query gather
   /// in shard order.
   RoutedBatchResult RunBatch(const std::vector<exec::BatchQuery>& queries);
@@ -145,10 +148,10 @@ class QueryRouter {
   void ObserveRoutedAnswer(const ElementSet& query, double sigma1,
                            double sigma2, const ShardedQueryResult& result);
 
-  /// Extends the per-shard state (latency histograms, every worker's
-  /// WorkerShard slots) to `num_shards` shards, so shards added by a grow
-  /// are served and counted like the original ones. Runs on the calling
-  /// thread, between pool jobs.
+  /// Extends the per-shard state (latency histograms, executor slots, every
+  /// worker's WorkerShard slots) to `num_shards` shards, so shards added by
+  /// a grow are served and counted like the original ones. Runs on the
+  /// calling thread, between pool jobs.
   void EnsureShardState(std::uint32_t num_shards);
 
   const ShardedSetSimilarityIndex* index_;
@@ -162,6 +165,10 @@ class QueryRouter {
   /// [worker][shard], indexed by the ParallelFor worker id. Worker w only
   /// touches row w, so the scatter needs no locking.
   std::vector<std::vector<WorkerShard>> worker_shards_;
+  /// [shard]: RunBatch's executor for the shard, over the index and store
+  /// the slot held when it was built (the same staleness rule as a
+  /// WorkerShard view).
+  std::vector<std::unique_ptr<exec::BatchExecutor>> shard_executors_;
   /// End-to-end routed query latency (sign + scatter + gather) under the
   /// router's scope: the series the SLO windows track for the sharded
   /// front end, the sharded counterpart of ssr_index_query_latency_micros.

@@ -34,7 +34,7 @@ struct RecordLocator {
 };
 
 /// Append-only heap file (deletes are handled above, in SetStore, by
-/// unlinking from the sid index; space is not reclaimed, as in a classic
+/// clearing the sid's live bit; space is not reclaimed, as in a classic
 /// heap file without vacuum).
 class HeapFile {
  public:
@@ -63,6 +63,11 @@ class HeapFile {
 
   /// Number of records appended.
   std::size_t num_records() const { return num_records_; }
+
+  /// Locator of the `record`-th record appended; `record` < num_records().
+  const RecordLocator& locator(std::size_t record) const {
+    return record_dir_[record];
+  }
 
   /// Direct page access for the buffer pool. `id` must be < num_pages().
   const Page& page(PageId id) const { return pages_[id]; }
@@ -110,7 +115,7 @@ class HeapFile {
   // Pages a salvage load gave up on. Parallel to pages_; empty when no
   // salvage ever ran (the common case costs one size() check per read).
   std::vector<bool> quarantined_;
-  // Locator of every record in append order, driving Scan().
+  // Locator of every record in append order, driving Scan() and locator().
   std::vector<RecordLocator> record_dir_;
   PageId open_slotted_page_ = kInvalidPageId;
   std::size_t num_records_ = 0;

@@ -29,7 +29,6 @@ PageId LastPageOf(const RecordLocator& loc, std::size_t num_elements) {
 
 SetStore::SetStore(SetStoreOptions options)
     : options_(ResolveMetricsScope(std::move(options))),
-      btree_(options_.btree_max_keys),
       pool_(options_.buffer_pool_pages, options_.metrics_scope),
       io_(options_.io, options_.metrics_scope) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
@@ -48,7 +47,8 @@ SetStore::SetStore(SetStoreOptions options)
 SetStore::SetStore(SetStore&& other) noexcept
     : options_(std::move(other.options_)),
       file_(std::move(other.file_)),
-      btree_(std::move(other.btree_)),
+      live_(std::move(other.live_)),
+      live_count_(other.live_count_),
       pool_(std::move(other.pool_)),
       io_(std::move(other.io_)),
       sets_added_(other.sets_added_),
@@ -58,9 +58,9 @@ SetStore::SetStore(SetStore&& other) noexcept
       live_sets_(other.live_sets_),
       heap_pages_(other.heap_pages_),
       get_latency_hist_(other.get_latency_hist_),
-      next_sid_(other.next_sid_),
       live_bytes_(other.live_bytes_) {
-  other.next_sid_ = 0;
+  other.live_.clear();
+  other.live_count_ = 0;
   other.live_bytes_ = 0;
 }
 
@@ -68,7 +68,8 @@ SetStore& SetStore::operator=(SetStore&& other) noexcept {
   if (this != &other) {
     options_ = std::move(other.options_);
     file_ = std::move(other.file_);
-    btree_ = std::move(other.btree_);
+    live_ = std::move(other.live_);
+    live_count_ = other.live_count_;
     pool_ = std::move(other.pool_);
     io_ = std::move(other.io_);
     sets_added_ = other.sets_added_;
@@ -78,9 +79,9 @@ SetStore& SetStore::operator=(SetStore&& other) noexcept {
     live_sets_ = other.live_sets_;
     heap_pages_ = other.heap_pages_;
     get_latency_hist_ = other.get_latency_hist_;
-    next_sid_ = other.next_sid_;
     live_bytes_ = other.live_bytes_;
-    other.next_sid_ = 0;
+    other.live_.clear();
+    other.live_count_ = 0;
     other.live_bytes_ = 0;
   }
   return *this;
@@ -95,15 +96,17 @@ Result<SetId> SetStore::Add(const ElementSet& set) {
   // allocated so a failed Add leaves the store bit-identical.
   SSR_RETURN_IF_ERROR(
       fault::FaultInjector::Default().CheckStatus("store/add"));
-  const SetId sid = next_sid_++;
-  auto loc = file_.Append(sid, set);
-  if (!loc.ok()) return loc.status();
-  SSR_RETURN_IF_ERROR(btree_.Insert(sid, loc.value()));
+  // The sid is taken only once its record is appended, so the k-th heap
+  // record always holds sid k and file_.locator(sid) finds it.
+  const SetId sid = static_cast<SetId>(live_.size());
+  SSR_RETURN_IF_ERROR(file_.Append(sid, set).status());
+  live_.push_back(true);
+  ++live_count_;
   // Appends dirty the tail page(s); charge them as sequential writes.
   io_.ChargeWrite(1);
   live_bytes_ += HeapFile::RecordBytes(set.size());
   sets_added_->Increment();
-  live_sets_->Set(static_cast<double>(btree_.size()));
+  live_sets_->Set(static_cast<double>(live_count_));
   heap_pages_->Set(static_cast<double>(file_.num_pages()));
   return sid;
 }
@@ -119,12 +122,10 @@ Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
                                        IoCostModel& io) const {
   gets_->Increment();
   Stopwatch watch;
-  std::size_t nodes = 0;
-  auto loc = btree_.Find(sid, &nodes);
-  if (!loc.ok()) return loc.status();
-  if (options_.charge_btree_io) {
-    io.ChargeRandomRead(nodes);
+  if (!IsLiveLocked(sid)) {
+    return Status::NotFound("sid " + std::to_string(sid) + " not live");
   }
+  const RecordLocator& loc = file_.locator(sid);
   // The page fetch is where transient device faults land ("store/get"
   // site); retry those before letting the error escape to the query layer.
   auto result = fault::RetryWithPolicy(
@@ -132,13 +133,13 @@ Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
         SSR_RETURN_IF_ERROR(
             fault::FaultInjector::Default().CheckStatus("store/get"));
         SetId stored_sid = kInvalidSetId;
-        auto set = file_.Read(loc.value(), &stored_sid, nullptr);
+        auto set = file_.Read(loc, &stored_sid, nullptr);
         if (!set.ok()) return set.status();
         if (stored_sid != sid) {
           return Status::Corruption("sid mismatch in heap record");
         }
-        const PageId last = LastPageOf(loc.value(), set->size());
-        for (PageId pid = loc->page; pid <= last; ++pid) {
+        const PageId last = LastPageOf(loc, set->size());
+        for (PageId pid = loc.page; pid <= last; ++pid) {
           pool.Access(pid, /*sequential=*/false, io);
         }
         return set;
@@ -159,7 +160,7 @@ SetStore::ReadView::ReadView(const SetStore& store,
 
 Result<ElementSet> SetStore::ReadView::Get(SetId sid) {
   // Every mutable touch lands on this view's private pool_/io_; the shared
-  // structures (btree_, file_) are only read, under the store's shared lock
+  // structures (live_, file_) are only read, under the store's shared lock
   // so writers are excluded.
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
   return store_->GetLocked(sid, pool_, io_);
@@ -167,26 +168,24 @@ Result<ElementSet> SetStore::ReadView::Get(SetId sid) {
 
 Status SetStore::Delete(SetId sid) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  std::size_t dummy = 0;
-  auto loc = btree_.Find(sid, &dummy);
-  if (!loc.ok()) return loc.status();
-  SSR_RETURN_IF_ERROR(btree_.Erase(sid));
-  live_sets_->Set(static_cast<double>(btree_.size()));
+  if (!IsLiveLocked(sid)) {
+    return Status::NotFound("sid " + std::to_string(sid) + " not live");
+  }
+  live_[sid] = false;
+  --live_count_;
+  live_sets_->Set(static_cast<double>(live_count_));
   return Status::OK();
 }
 
-namespace {
-
-// Shared by SetStore::ScanAll and ReadView::ScanAll; only the charged cost
-// model differs. A full-file scan touches every page once, sequentially.
-// Charge pages as the record cursor crosses them rather than via the pool:
-// sequential scans bypass the (small) pool in real systems to avoid cache
-// pollution.
-void ScanAllImpl(const HeapFile& file, const BPlusTree& btree, IoCostModel& io,
-                 const std::function<bool(SetId, const ElementSet&)>& visitor) {
+// A full-file scan touches every page once, sequentially. Charge pages as
+// the record cursor crosses them rather than via the pool: sequential scans
+// bypass the (small) pool in real systems to avoid cache pollution.
+void SetStore::ScanAllLocked(
+    IoCostModel& io,
+    const std::function<bool(SetId, const ElementSet&)>& visitor) const {
   PageId last_charged = kInvalidPageId;
   bool stopped = false;
-  file.Scan([&](SetId sid, const ElementSet& set, const RecordLocator& loc) {
+  file_.Scan([&](SetId sid, const ElementSet& set, const RecordLocator& loc) {
     if (stopped) return false;
     // Charge every page from the previous cursor position through this
     // record's last page.
@@ -199,7 +198,7 @@ void ScanAllImpl(const HeapFile& file, const BPlusTree& btree, IoCostModel& io,
       io.ChargeSequentialRead(last - last_charged);
       last_charged = last;
     }
-    if (!btree.Contains(sid)) return true;  // deleted: skip, keep scanning
+    if (!IsLiveLocked(sid)) return true;  // deleted: skip, keep scanning
     if (!visitor(sid, set)) {
       stopped = true;
       return false;
@@ -208,27 +207,25 @@ void ScanAllImpl(const HeapFile& file, const BPlusTree& btree, IoCostModel& io,
   });
 }
 
-}  // namespace
-
 void SetStore::ScanAll(
     const std::function<bool(SetId, const ElementSet&)>& visitor) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   scans_->Increment();
-  ScanAllImpl(file_, btree_, io_, visitor);
+  ScanAllLocked(io_, visitor);
 }
 
 void SetStore::ReadView::ScanAll(
     const std::function<bool(SetId, const ElementSet&)>& visitor) {
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
   store_->scans_->Increment();
-  ScanAllImpl(store_->file_, store_->btree_, io_, visitor);
+  store_->ScanAllLocked(io_, visitor);
 }
 
 double SetStore::AvgSetPages() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (btree_.empty()) return 0.0;
+  if (live_count_ == 0) return 0.0;
   const double bytes_per_set =
-      static_cast<double>(live_bytes_) / static_cast<double>(next_sid_);
+      static_cast<double>(live_bytes_) / static_cast<double>(live_.size());
   return bytes_per_set / static_cast<double>(kPageSize);
 }
 
@@ -245,20 +242,19 @@ Status SetStore::SaveTo(std::ostream& out) const {
   SnapshotWriter snapshot(out, kSetStoreMagic, kSetStoreVersion);
 
   BinaryWriter& meta = snapshot.BeginSection("meta");
-  meta.WriteU32(next_sid_);
+  meta.WriteU32(static_cast<SetId>(live_.size()));
   meta.WriteU64(live_bytes_);
   SSR_RETURN_IF_ERROR(snapshot.EndSection());
 
-  // Live sids (the B+-tree contents; locators are re-derivable from the
-  // heap's record directory but are stored for integrity checking).
+  // Live sids, ascending (locators are re-derivable from the heap's record
+  // directory but are stored for integrity checking).
   std::vector<SetId> live;
   std::vector<RecordLocator> locators;
-  btree_.ScanRange(0, next_sid_ == 0 ? 0 : next_sid_ - 1,
-                   [&](SetId sid, const RecordLocator& loc) {
-                     live.push_back(sid);
-                     locators.push_back(loc);
-                     return true;
-                   });
+  for (SetId sid = 0; sid < live_.size(); ++sid) {
+    if (!live_[sid]) continue;
+    live.push_back(sid);
+    locators.push_back(file_.locator(sid));
+  }
   BinaryWriter& live_sec = snapshot.BeginSection("live");
   live_sec.WriteVector(live);
   live_sec.WriteVector(locators);
@@ -280,11 +276,12 @@ Result<SetStore> SetStore::Load(std::istream& in, SetStoreOptions options,
   // The store-level sections are small and irreplaceable: strict always.
   SetStore store(options);
   std::string payload;
+  SetId next_sid = 0;
   SSR_RETURN_IF_ERROR(snapshot.ReadSection("meta", &payload));
   {
     std::istringstream meta_in(payload);
     BinaryReader meta(meta_in);
-    SSR_RETURN_IF_ERROR(meta.ReadU32(&store.next_sid_));
+    SSR_RETURN_IF_ERROR(meta.ReadU32(&next_sid));
     SSR_RETURN_IF_ERROR(meta.ReadU64(&store.live_bytes_));
   }
   std::vector<SetId> live;
@@ -308,19 +305,32 @@ Result<SetStore> SetStore::Load(std::istream& in, SetStoreOptions options,
   if (!file.ok()) return file.status();
   store.file_ = std::move(file).value();
 
+  // The k-th heap record holds sid k: the heap's record directory must
+  // cover exactly the allocated sids and agree with every saved locator.
+  if (store.file_.num_records() != next_sid) {
+    return Status::Corruption("heap record count differs from next_sid");
+  }
+  store.live_.assign(next_sid, false);
   std::size_t live_dropped = 0;
   for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i] >= store.next_sid_) {
+    if (live[i] >= next_sid) {
       return Status::Corruption("live sid beyond next_sid");
+    }
+    if (i > 0 && live[i] <= live[i - 1]) {
+      return Status::Corruption("live sids repeat or are out of order");
+    }
+    if (locators[i] != store.file_.locator(live[i])) {
+      return Status::Corruption("live locator differs from the heap's");
     }
     if (heap_report.salvaged &&
         !store.file_.Read(locators[i], nullptr, nullptr).ok()) {
-      // The record's page(s) were quarantined: drop it from the live index
-      // so the store never serves a silently wrong answer for this sid.
+      // The record's page(s) were quarantined: leave it dead so the store
+      // never serves a silently wrong answer for this sid.
       ++live_dropped;
       continue;
     }
-    SSR_RETURN_IF_ERROR(store.btree_.Insert(live[i], locators[i]));
+    store.live_[live[i]] = true;
+    ++store.live_count_;
   }
 
   if (heap_report.salvaged) {
@@ -338,7 +348,7 @@ Result<SetStore> SetStore::Load(std::istream& in, SetStoreOptions options,
     load_options.report->MergeFrom(heap_report);
   }
 
-  store.live_sets_->Set(static_cast<double>(store.btree_.size()));
+  store.live_sets_->Set(static_cast<double>(store.live_count_));
   store.heap_pages_->Set(static_cast<double>(store.file_.num_pages()));
   return store;
 }

@@ -1,7 +1,10 @@
 // SetStore: the disk-resident set collection. Composes the heap file (record
-// storage), the B+-tree (sid -> record locator, the "conventional data
-// structure supporting queries on set identifier" of Section 6), the buffer
-// pool, and the I/O cost model. This is what both query paths touch:
+// storage), a liveness bitmap over sids, the buffer pool, and the I/O cost
+// model. Sids are dense and never reused, and the k-th record appended holds
+// sid k, so the heap's own record directory is the sid -> record locator map:
+// it plays the role of Section 6's "conventional data structure supporting
+// queries on set identifier", and like the paper's hot sid index it charges
+// no I/O. This is what both query paths touch:
 //   - the index path fetches candidate sets by sid (random reads), and
 //   - the sequential-scan baseline reads every page in file order.
 
@@ -13,10 +16,10 @@
 #include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "fault/retry.h"
 #include "obs/metrics.h"
-#include "storage/bplus_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/io_cost_model.h"
@@ -34,14 +37,6 @@ struct SetStoreOptions {
 
   /// Simulated I/O cost parameters (seq/random page cost).
   IoCostParams io;
-
-  /// Max keys per B+-tree node.
-  std::size_t btree_max_keys = 256;
-
-  /// Whether B+-tree traversals charge random reads per node visited
-  /// (index assumed disk-resident). Default false: the paper keeps the sid
-  /// index hot and counts data-page I/O only.
-  bool charge_btree_io = false;
 
   /// Scope for this store's instruments (buffer pool, I/O model, record
   /// counters) in obs::MetricsRegistry::Default(). Empty allocates a
@@ -65,16 +60,18 @@ class SetStore {
   explicit SetStore(SetStoreOptions options = SetStoreOptions());
 
   /// A per-worker read-only view: a private buffer pool and a private I/O
-  /// cost model over the store's immutable heap file and sid index. As long
-  /// as no writer runs concurrently, any number of ReadViews may Get() in
-  /// parallel — the only mutable state each touches is its own. The batch
-  /// executor gives each worker one view and merges io_stats() deltas into
-  /// per-query stats; process-wide store counters (gets, failures, latency)
-  /// are still shared, which is safe (relaxed atomics).
+  /// cost model over the store's heap file and liveness bitmap. Any number
+  /// of ReadViews may Get() in parallel, also beside writers: a view reads
+  /// the bitmap and the heap under the store's shared lock (writers grow
+  /// them under the exclusive lock), and the only mutable state it touches
+  /// is its own. The batch executor gives each worker one view and merges
+  /// io_stats() deltas into per-query stats; process-wide store counters
+  /// (gets, failures, latency) are still shared, which is safe (relaxed
+  /// atomics).
   ///
   /// A view is meant to outlive many queries: the batch executor keeps one
-  /// per worker for a batch, the query router one per (worker, shard) for
-  /// its lifetime, so the pool stays warm and construction — the only step
+  /// per worker, the query router one per (worker, shard), each for its
+  /// lifetime, so the pool stays warm and construction — the only step
   /// that registers metrics — happens once. The view reads the store only
   /// inside Get/ScanAll; between calls it may outlive the store, as long as
   /// it is then only destroyed or compared by store().
@@ -119,14 +116,14 @@ class SetStore {
   /// under options.get_retry before the error escapes.
   Result<ElementSet> Get(SetId sid);
 
-  /// Removes a set from the collection (unlinks it from the sid index; heap
-  /// space is not reclaimed, as in a heap file without vacuum).
+  /// Removes a set from the collection (clears its live bit; heap space is
+  /// not reclaimed, as in a heap file without vacuum).
   Status Delete(SetId sid);
 
   /// True iff sid currently maps to a live record.
   bool Contains(SetId sid) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return btree_.Contains(sid);
+    return IsLiveLocked(sid);
   }
 
   /// Visits every live set in file order, charging one sequential read per
@@ -138,7 +135,7 @@ class SetStore {
   /// Number of live sets.
   std::size_t size() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return btree_.size();
+    return live_count_;
   }
 
   /// Total heap-file pages (the sequential-scan cost in pages).
@@ -155,7 +152,6 @@ class SetStore {
   const IoCostModel& io() const { return io_; }
   BufferPool& buffer_pool() { return pool_; }
   const BufferPool& buffer_pool() const { return pool_; }
-  const BPlusTree& btree() const { return btree_; }
   const HeapFile& file() const { return file_; }
 
   /// The scope this store's instruments are registered under.
@@ -174,9 +170,14 @@ class SetStore {
   /// error: DataLoss for truncation, Corruption for checksum mismatches,
   /// NotSupported for version skew. With `load_options.salvage`, damage in
   /// the heap's pages section is tolerated — corrupt pages are quarantined,
-  /// records living on them are dropped from the live index (counted in
-  /// ssr_recovery_* metrics and `load_options.report`), and the store comes
-  /// up serving the surviving records.
+  /// records living on them load as deleted (counted in ssr_recovery_*
+  /// metrics and `load_options.report`), and the store comes up serving
+  /// the surviving records.
+  ///
+  /// Load also checks that the k-th heap record holds sid k: the heap's
+  /// record count must equal the saved next sid, every saved live locator
+  /// must equal the heap's, and live sids must be strictly ascending (a
+  /// repeat is corruption). Each violation is Corruption, salvage or not.
   Status SaveTo(std::ostream& out) const;
   static Result<SetStore> Load(std::istream& in,
                                SetStoreOptions options = SetStoreOptions(),
@@ -195,14 +196,28 @@ class SetStore {
   Result<ElementSet> GetLocked(SetId sid, BufferPool& pool,
                                IoCostModel& io) const;
 
-  // Guards file_/btree_/pool_/io_/next_sid_/live_bytes_: exclusive for
+  // The one scan path behind ScanAll and ReadView::ScanAll, charging `io`.
+  // The caller holds mu_.
+  void ScanAllLocked(
+      IoCostModel& io,
+      const std::function<bool(SetId, const ElementSet&)>& visitor) const;
+
+  // True iff `sid` was allocated and not deleted. The caller holds mu_.
+  bool IsLiveLocked(SetId sid) const {
+    return sid < live_.size() && live_[sid];
+  }
+
+  // Guards file_/live_/live_count_/pool_/io_/live_bytes_: exclusive for
   // mutations and pool-touching reads, shared for ReadView fetches and
   // pure lookups. Declared first so it outlives every guarded member
   // during destruction.
   mutable std::shared_mutex mu_;
   SetStoreOptions options_;
   HeapFile file_;
-  BPlusTree btree_;
+  // One bit per sid ever allocated (so live_.size() is the next sid), set
+  // while the sid's record is live; its locator is file_.locator(sid).
+  std::vector<bool> live_;
+  std::size_t live_count_ = 0;
   BufferPool pool_;
   IoCostModel io_;
   obs::Counter* sets_added_;      // ssr_store_sets_added_total
@@ -212,7 +227,6 @@ class SetStore {
   obs::Gauge* live_sets_;         // ssr_store_live_sets
   obs::Gauge* heap_pages_;        // ssr_store_heap_pages
   obs::Histogram* get_latency_hist_;  // ssr_store_get_latency_micros
-  SetId next_sid_ = 0;
   std::uint64_t live_bytes_ = 0;
 };
 

@@ -14,6 +14,7 @@
 
 #include "core/set_similarity_index.h"
 #include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -175,6 +176,45 @@ TEST_F(BatchExecutorTest, InvalidQueriesFailIndividually) {
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(result.results[i].sids, serial->sids);
   }
+}
+
+// The worker views live as long as the executor: only its construction
+// registers metrics (each ReadView registers a scope of six counters), and
+// a later Run registers none.
+TEST_F(BatchExecutorTest, LaterRunsRegisterNoMetrics) {
+  auto f = BuildFixture(200);
+  ASSERT_NE(f, nullptr);
+  const auto batch = MakeBatch(*f, 20, 66);
+  BatchExecutorOptions options;
+  options.num_threads = 3;
+  BatchExecutor executor(*f->index, options);
+  const BatchResult first = executor.Run(batch);
+  const std::size_t entries =
+      obs::MetricsRegistry::Default().Entries().size();
+  const BatchResult second = executor.Run(batch);
+  EXPECT_EQ(obs::MetricsRegistry::Default().Entries().size(), entries);
+  ASSERT_EQ(second.failed, 0u);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(second.results[i].sids, first.results[i].sids) << "query " << i;
+  }
+}
+
+// worker_io_seconds is each Run's own I/O. One worker re-running a batch
+// finds every data page it fetched still in its warm view, so the second
+// Run is charged less than the cold first one (its probes cost the same);
+// a cumulative count could never shrink.
+TEST_F(BatchExecutorTest, WorkerIoCoversOnlyItsRun) {
+  auto f = BuildFixture(200);
+  ASSERT_NE(f, nullptr);
+  ASSERT_LE(f->store.num_pages(), SetStoreOptions().buffer_pool_pages);
+  const auto batch = MakeBatch(*f, 20, 67);
+  BatchExecutorOptions options;
+  options.num_threads = 1;
+  BatchExecutor executor(*f->index, options);
+  const double cold = executor.Run(batch).worker_io_seconds[0];
+  const double warm = executor.Run(batch).worker_io_seconds[0];
+  EXPECT_GT(warm, 0.0);
+  EXPECT_LT(warm, cold);
 }
 
 // Degradation tests need faults to actually fire.

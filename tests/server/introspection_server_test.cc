@@ -331,16 +331,18 @@ TEST(IntrospectionServerTest, ConcurrentScrapesStayConsistent) {
 }
 
 // Stands up real components against the process-wide registry (a sharded
-// index serving queries, plus the server's own instruments) and then
-// sweeps every registered entry: each must carry a # HELP entry and a
-// grammar-valid name, or /metrics would ship a nonconformant family.
-// ctest runs each discovered test in its own process, so the test
-// populates the registry itself rather than relying on siblings.
+// index that rebalances and serves queries, plus the server's own
+// instruments) and then sweeps every registered entry: each must carry a
+// # HELP entry and a grammar-valid name, or /metrics would ship a
+// nonconformant family. ctest runs each discovered test in its own
+// process, so the test populates the registry itself rather than relying
+// on siblings.
 TEST(IntrospectionServerTest, DefaultRegistryMetricsAllConform) {
   const SetCollection sets = MakeSets(60);
   auto built = shard::ShardedSetSimilarityIndex::Build(sets, TestLayout(),
                                                        TestOptions(2));
   ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built->RebalanceTo(3).ok());  // registers ssr_rebalance_*
   ASSERT_TRUE(built->Query(sets[0], 0.5, 1.0).ok());
   IntrospectionServer server(ManualTickOptions());  // default registry
   server.Tick(0.0);  // republishes the ssr_slo_* / ssr_health_verdict gauges

@@ -240,6 +240,27 @@ TEST(QueryRouterTest, SteadyStateQueriesRegisterNoMetrics) {
   EXPECT_EQ(obs::MetricsRegistry::Default().Entries().size(), entries);
 }
 
+// Each shard's BatchExecutor, and with it its worker views, persists
+// across batches: a second batch registers nothing either.
+TEST(QueryRouterTest, SteadyStateBatchesRegisterNoMetrics) {
+  auto f = BuildFixture(200, 4);
+  ASSERT_NE(f, nullptr);
+  QueryRouterOptions options;
+  options.num_threads = 3;
+  QueryRouter router(*f->index, options);
+  const auto batch = MakeBatch(*f, 20, 78);
+  const RoutedBatchResult first = router.RunBatch(batch);
+  ASSERT_EQ(first.failed, 0u);
+  const std::size_t entries =
+      obs::MetricsRegistry::Default().Entries().size();
+  const RoutedBatchResult second = router.RunBatch(batch);
+  ASSERT_EQ(second.failed, 0u);
+  EXPECT_EQ(obs::MetricsRegistry::Default().Entries().size(), entries);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(second.results[i].sids, first.results[i].sids) << "query " << i;
+  }
+}
+
 TEST(QueryRouterTest, SingleShardRoutingDegeneratesToPlainBatching) {
   auto f = BuildFixture(150, 1);
   ASSERT_NE(f, nullptr);

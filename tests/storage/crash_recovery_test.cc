@@ -256,7 +256,9 @@ TEST_F(CrashRecoveryTest, CrashPointAtEveryRecordBoundaryThroughWritePath) {
         st = live->index->Insert(op.sid, op.set);
       } else {
         st = live->index->Erase(op.sid);
-        if (st.ok()) ASSERT_TRUE(live->store->Delete(op.sid).ok());
+        if (st.ok()) {
+          ASSERT_TRUE(live->store->Delete(op.sid).ok());
+        }
       }
       if (i < k) {
         ASSERT_TRUE(st.ok()) << "crash " << k << " op " << i << ": "
@@ -270,7 +272,9 @@ TEST_F(CrashRecoveryTest, CrashPointAtEveryRecordBoundaryThroughWritePath) {
     }
     fi.Reset();
     live->index->AttachWal(nullptr);
-    if (k < f->ops.size()) EXPECT_TRUE(wal.crashed());
+    if (k < f->ops.size()) {
+      EXPECT_TRUE(wal.crashed());
+    }
 
     // A failed append applied nothing: the live index froze at boundary k.
     EXPECT_EQ(live->index->ContentDigest(), f->digests[k]) << "crash " << k;
@@ -625,7 +629,9 @@ TEST_F(CrashRecoveryTest, TornShardWalTailTruncatesWithoutQuarantine) {
   EXPECT_TRUE(rec->report.wal_tail_truncated);
   EXPECT_EQ(rec->recovered_lsns[victim], f->last_lsns[victim] - 1);
   for (std::uint32_t s = 0; s < ShardedFixture::kShards; ++s) {
-    if (s != victim) EXPECT_EQ(rec->recovered_lsns[s], f->last_lsns[s]);
+    if (s != victim) {
+      EXPECT_EQ(rec->recovered_lsns[s], f->last_lsns[s]);
+    }
   }
 }
 
@@ -662,7 +668,9 @@ TEST_F(CrashRecoveryTest, CorruptShardWalQuarantinesOnlyThatShard) {
   EXPECT_EQ(quarantined->value() - quarantined_before, 1u);
   for (std::uint32_t s = 0; s < ShardedFixture::kShards; ++s) {
     EXPECT_EQ(rec->index->shard_degraded(s), s == victim) << "shard " << s;
-    if (s != victim) EXPECT_EQ(rec->recovered_lsns[s], f->last_lsns[s]);
+    if (s != victim) {
+      EXPECT_EQ(rec->recovered_lsns[s], f->last_lsns[s]);
+    }
   }
 
   // The router keeps serving: answers are partial, tagged with the lost

@@ -1,8 +1,15 @@
 #include "storage/set_store.h"
 
+#include <atomic>
+#include <sstream>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "storage/snapshot.h"
 #include "util/random.h"
+#include "util/serialize.h"
 #include "util/set_ops.h"
 
 namespace ssr {
@@ -154,6 +161,123 @@ TEST(SetStoreTest, ManySetsStressRoundTrip) {
   for (int i = 0; i < 500; ++i) {
     EXPECT_EQ(store.Get(static_cast<SetId>(i)).value(), sets[i]);
   }
+}
+
+// A store snapshot whose store-level sections hold `next_sid`, `live` and
+// `locators`, followed by `heap`'s own snapshot. Every checksum holds, so
+// only the store's consistency checks can reject it.
+std::string StoreSnapshot(SetId next_sid, const std::vector<SetId>& live,
+                          const std::vector<RecordLocator>& locators,
+                          const HeapFile& heap) {
+  std::ostringstream out;
+  SnapshotWriter snapshot(out, "SSRSTORE", 2);
+  BinaryWriter& meta = snapshot.BeginSection("meta");
+  meta.WriteU32(next_sid);
+  meta.WriteU64(0);  // live bytes
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  BinaryWriter& live_sec = snapshot.BeginSection("live");
+  live_sec.WriteVector(live);
+  live_sec.WriteVector(locators);
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  EXPECT_TRUE(snapshot.Finish().ok());
+  EXPECT_TRUE(heap.SaveTo(out).ok());
+  return out.str();
+}
+
+Status LoadStatus(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return SetStore::Load(in).status();
+}
+
+// A three-record heap: record k holds sid k.
+class SetStoreLoadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (SetId sid = 0; sid < 3; ++sid) {
+      auto loc = heap_.Append(sid, MakeSet(sid + 1, 10 * sid));
+      ASSERT_TRUE(loc.ok());
+      locs_.push_back(loc.value());
+    }
+  }
+
+  HeapFile heap_;
+  std::vector<RecordLocator> locs_;
+};
+
+// Each case loads its consistent twin first, so the failure it checks is
+// the one inconsistency it plants.
+TEST_F(SetStoreLoadTest, HeapRecordCountUnlikeNextSidIsCorruption) {
+  ASSERT_TRUE(LoadStatus(StoreSnapshot(3, {0}, {locs_[0]}, heap_)).ok());
+  EXPECT_TRUE(LoadStatus(StoreSnapshot(4, {0}, {locs_[0]}, heap_))
+                  .IsCorruption());
+  EXPECT_TRUE(LoadStatus(StoreSnapshot(2, {0}, {locs_[0]}, heap_))
+                  .IsCorruption());
+}
+
+TEST_F(SetStoreLoadTest, LiveLocatorUnlikeHeapsIsCorruption) {
+  ASSERT_TRUE(
+      LoadStatus(StoreSnapshot(3, {1, 2}, {locs_[1], locs_[2]}, heap_)).ok());
+  EXPECT_TRUE(
+      LoadStatus(StoreSnapshot(3, {1, 2}, {locs_[2], locs_[1]}, heap_))
+          .IsCorruption());
+}
+
+TEST_F(SetStoreLoadTest, RepeatedLiveSidIsCorruption) {
+  ASSERT_TRUE(
+      LoadStatus(StoreSnapshot(3, {1, 2}, {locs_[1], locs_[2]}, heap_)).ok());
+  EXPECT_TRUE(
+      LoadStatus(StoreSnapshot(3, {1, 1}, {locs_[1], locs_[1]}, heap_))
+          .IsCorruption());
+}
+
+// The set the writer below adds as its k-th set: sizes vary, and every
+// 64th set spans pages.
+ElementSet RacedSet(SetId k) {
+  return MakeSet(k % 64 == 0 ? 700 : 1 + k % 40, 1000 * k);
+}
+
+TEST(SetStoreTest, ReadViewsRaceAddAndDelete) {
+  SetStoreOptions options;
+  options.buffer_pool_pages = 16;
+  SetStore store(options);
+  constexpr SetId kSets = 1500;
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      SetStore::ReadView view(store, 8);
+      Rng rng(100 + r);
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        // Sids past the writer's cursor included: those are NotFound.
+        const SetId sid = static_cast<SetId>(rng.Uniform(kSets + 16));
+        auto got = view.Get(sid);
+        if (got.ok() ? got.value() != RacedSet(sid)
+                     : !got.status().IsNotFound()) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  // No ASSERT here: the readers must be stopped and joined on every path.
+  for (SetId k = 0; k < kSets; ++k) {
+    auto sid = store.Add(RacedSet(k));
+    if (!sid.ok() || sid.value() != k) {
+      ADD_FAILURE() << "Add of set " << k;
+      break;
+    }
+    if (k % 3 == 2 && !store.Delete(k - 1).ok()) {
+      ADD_FAILURE() << "Delete of sid " << k - 1;
+      break;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(store.size(), kSets - kSets / 3);
 }
 
 }  // namespace
