@@ -65,8 +65,9 @@ Measured MeasureLayout(Env& env, const IndexLayout& layout, int queries) {
     const auto truth = exact.Query(query_set, q.sigma1, q.sigma2);
     m.recall += Recall(result->sids, truth);
     m.precision += CandidatePrecision(result->stats.results,
-                                      result->stats.candidates);
-    m.avg_candidates += static_cast<double>(result->stats.candidates);
+                                      result->stats.filter_candidates());
+    m.avg_candidates +=
+        static_cast<double>(result->stats.filter_candidates());
     ++counted;
   }
   if (counted == 0) return m;
@@ -283,8 +284,8 @@ int Run(const bench::Flags& flags) {
         const auto truth = exact.Query(env.sets[sid], 0.05, 0.3);
         recall += Recall(result->sids, truth);
         precision += CandidatePrecision(result->stats.results,
-                                        result->stats.candidates);
-        candidates += static_cast<double>(result->stats.candidates);
+                                        result->stats.filter_candidates());
+        candidates += static_cast<double>(result->stats.filter_candidates());
         ++counted;
       }
       if (counted == 0) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -35,6 +36,19 @@ std::vector<SetId> SortedUnion(const std::vector<SetId>& a,
   std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                  std::back_inserter(out));
   return out;
+}
+
+// Tolerance of the [σ1, σ2] accept test. The size window drops a set only
+// when its size ratio is below σ1 − kEps, and Jaccard never exceeds the size
+// ratio, so the window never drops a set the accept test would keep.
+constexpr double kEps = 1e-12;
+
+// A set size as the size window sees it, stored sizes and the query's
+// alike. Saturating: clamping both sizes of a pair to one bound only raises
+// their ratio, so it never makes the window drop a set.
+std::uint32_t SizeSlot(std::size_t size) {
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(size, std::numeric_limits<std::uint32_t>::max()));
 }
 
 IndexOptions ResolveIndexMetricsScope(IndexOptions options) {
@@ -92,6 +106,7 @@ SetSimilarityIndex::SetSimilarityIndex(SetStore& store, IndexLayout layout,
   bucket_pages_ = registry.GetCounter("ssr_index_bucket_pages_total", scope);
   sids_scanned_ = registry.GetCounter("ssr_index_sids_scanned_total", scope);
   sets_fetched_ = registry.GetCounter("ssr_index_sets_fetched_total", scope);
+  size_pruned_ = registry.GetCounter("ssr_index_size_pruned_total", scope);
   results_ = registry.GetCounter("ssr_index_results_total", scope);
   probe_failures_ =
       registry.GetCounter("ssr_index_probe_failures_total", scope);
@@ -130,6 +145,7 @@ SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
       embedding_(std::move(other.embedding_)),
       fis_(std::move(other.fis_)),
       signatures_(std::move(other.signatures_)),
+      set_sizes_(std::move(other.set_sizes_)),
       capacity_(other.capacity_.load(std::memory_order_relaxed)),
       num_live_(other.num_live_.load(std::memory_order_relaxed)),
       epoch_manager_(other.epoch_manager_),
@@ -141,6 +157,7 @@ SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
       bucket_pages_(other.bucket_pages_),
       sids_scanned_(other.sids_scanned_),
       sets_fetched_(other.sets_fetched_),
+      size_pruned_(other.size_pruned_),
       results_(other.results_),
       probe_failures_(other.probe_failures_),
       fetch_failures_(other.fetch_failures_),
@@ -163,6 +180,7 @@ SetSimilarityIndex& SetSimilarityIndex::operator=(
     embedding_ = std::move(other.embedding_);
     fis_ = std::move(other.fis_);
     signatures_ = std::move(other.signatures_);
+    set_sizes_ = std::move(other.set_sizes_);
     capacity_.store(other.capacity_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     num_live_.store(other.num_live_.load(std::memory_order_relaxed),
@@ -176,6 +194,7 @@ SetSimilarityIndex& SetSimilarityIndex::operator=(
     bucket_pages_ = other.bucket_pages_;
     sids_scanned_ = other.sids_scanned_;
     sets_fetched_ = other.sets_fetched_;
+    size_pruned_ = other.size_pruned_;
     results_ = other.results_;
     probe_failures_ = other.probe_failures_;
     fetch_failures_ = other.fetch_failures_;
@@ -194,6 +213,7 @@ void SetSimilarityIndex::EnableConcurrentWrites(exec::EpochManager* manager) {
   if (manager == nullptr) manager = &exec::EpochManager::Default();
   epoch_manager_ = manager;
   signatures_.SetEpochManager(manager);
+  set_sizes_.SetEpochManager(manager);
   for (auto& fi : fis_) {
     if (fi.sfi != nullptr) {
       fi.sfi->SetEpochManager(manager);
@@ -233,9 +253,10 @@ Status SetSimilarityIndex::BuildFilterIndices() {
   SetId max_sid = 0;
   for (SetId sid : sids) max_sid = std::max(max_sid, sid);
   if (n > 0) {
-    // Pre-grow the slot array serially so the parallel sign phase below
+    // Pre-grow the slot arrays serially so the parallel sign phase below
     // only stores into disjoint, already-allocated slots.
     signatures_.EnsureCapacity(max_sid + 1);
+    set_sizes_.EnsureCapacity(max_sid + 1);
     if (max_sid + 1 > capacity_.load(std::memory_order_relaxed)) {
       capacity_.store(max_sid + 1, std::memory_order_relaxed);
     }
@@ -262,6 +283,7 @@ Status SetSimilarityIndex::BuildFilterIndices() {
           block.resize(hi - lo);
           embedding_->SignBatch(&sets[lo], hi - lo, block.data());
           for (std::size_t i = lo; i < hi; ++i) {
+            set_sizes_.Set(sids[i], SizeSlot(sets[i].size()));
             signatures_.Set(sids[i], new Signature(std::move(block[i - lo])));
           }
         });
@@ -386,6 +408,9 @@ Status SetSimilarityIndex::Insert(SetId sid, const ElementSet& set) {
   if (wal_ != nullptr) {
     SSR_RETURN_IF_ERROR(wal_->AppendInsert(sid, set).status());
   }
+  // The size goes in before the sid enters any table (InsertSignatureLocked
+  // publishes the tables): a reader that finds the sid sees its size.
+  set_sizes_.Set(sid, SizeSlot(set.size()));
   return InsertSignatureLocked(sid, embedding_->Sign(set));
 }
 
@@ -541,6 +566,32 @@ Status SetSimilarityIndex::ProbeFi(std::size_t fi_idx, const Signature& query,
 }
 
 std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
+    const Signature& query, std::size_t query_size, double sigma1,
+    double sigma2, QueryStats* stats, bool* additive_loss, IoCostModel& io,
+    std::vector<SetId>* scratch) const {
+  std::vector<SetId> candidates = ProbeCandidates(
+      query, sigma1, sigma2, stats, additive_loss, io, scratch);
+  if (sigma1 <= kEps) return candidates;  // the window would drop nothing
+  // The σ1 size window: Jaccard(s, q) <= min(|s|,|q|) / max(|s|,|q|), so a
+  // set whose size ratio is below σ1 − kEps cannot pass verification. It is
+  // dropped here, before any fetch. Two empty sets have Jaccard 1: kept.
+  const double q = static_cast<double>(SizeSlot(query_size));
+  std::size_t kept = 0;
+  for (SetId sid : candidates) {
+    const double s = static_cast<double>(set_sizes_.Get(sid));
+    const double hi = std::max(s, q);
+    if (hi == 0.0 || std::min(s, q) / hi >= sigma1 - kEps) {
+      candidates[kept++] = sid;
+    }
+  }
+  const std::size_t pruned = candidates.size() - kept;
+  candidates.resize(kept);
+  stats->size_pruned += pruned;
+  size_pruned_->Add(pruned);
+  return candidates;
+}
+
+std::vector<SetId> SetSimilarityIndex::ProbeCandidates(
     const Signature& query, double sigma1, double sigma2, QueryStats* stats,
     bool* additive_loss, IoCostModel& io,
     std::vector<SetId>* scratch) const {
@@ -848,6 +899,14 @@ Result<SetSimilarityIndex> SetSimilarityIndex::Load(
     SSR_RETURN_IF_ERROR(rebuild_status);
     store.ResetIoAccounting();  // the rebuild scan is not query I/O
   } else {
+    // The size window's per-sid sizes are not in the snapshot: read them
+    // from the store in one scan. A saved sid the scan does not see (not
+    // live, or unreadable, which Build would not index at all) keeps size 0.
+    store.ScanAll([&](SetId sid, const ElementSet& set) {
+      index.set_sizes_.Set(sid, SizeSlot(set.size()));
+      return true;
+    });
+    store.ResetIoAccounting();  // the size scan is not query I/O
     std::istringstream sigs_in(payload);
     BinaryReader sigs(sigs_in);
     std::uint64_t capacity = 0, live_count = 0;
@@ -927,8 +986,11 @@ Result<QueryResult> SetSimilarityIndex::QueryCandidates(
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    result.sids = ComputeCandidates(sig, sigma1, sigma2, &result.stats,
-                                    &additive_loss, io, nullptr);
+    result.sids = ComputeCandidates(sig, query.size(), sigma1, sigma2,
+                                    &result.stats, &additive_loss, io,
+                                    nullptr);
+    plan.Tag("size_pruned",
+             static_cast<std::uint64_t>(result.stats.size_pruned));
   }
   if (result.stats.degraded &&
       options_.degrade == DegradeMode::kFailFast) {
@@ -1010,8 +1072,10 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    candidates = ComputeCandidates(*signature, sigma1, sigma2, &result.stats,
-                                   &additive_loss, io, scratch);
+    candidates = ComputeCandidates(*signature, query.size(), sigma1, sigma2,
+                                   &result.stats, &additive_loss, io, scratch);
+    plan.Tag("size_pruned",
+             static_cast<std::uint64_t>(result.stats.size_pruned));
   }
   result.stats.candidates = candidates.size();
   candidates_hist_->Observe(static_cast<double>(candidates.size()));
@@ -1024,7 +1088,6 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   // answer could miss true results — go straight to the exact full scan.
   bool need_full_scan =
       additive_loss && options_.degrade == DegradeMode::kSequentialFallback;
-  constexpr double kEps = 1e-12;
 
   if (!need_full_scan &&
       result.stats.plan == QueryPlanKind::kFullCollection && sigma1 <= 0.0 &&
@@ -1106,8 +1169,10 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
       workload_observer_->CountFiProbe(p.fi, p.bucket_accesses, p.sids,
                                        p.failed);
     }
+    // The shadow oracle's precision measures the filter, so it counts the
+    // candidates the size window dropped too.
     workload_observer_->OfferSample(query, sigma1, sigma2, result.sids,
-                                    result.stats.candidates);
+                                    result.stats.filter_candidates());
     workload_observer_->UpdateGauges();
   }
   return result;

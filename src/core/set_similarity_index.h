@@ -100,17 +100,21 @@ enum class QueryPlanKind {
 const char* QueryPlanKindName(QueryPlanKind kind);
 
 /// Per-query execution statistics. The counting fields (bucket_accesses,
-/// bucket_pages, sids_scanned, sets_fetched) are accumulated directly on
-/// the query path, and the same amounts are added to the index's registry
-/// instruments — so QueryStats and the exporters agree, and concurrent
-/// queries (the batch executor) never see each other's counts. The io
-/// field is the delta of whichever I/O model served the query: the store's
-/// (serial Query) or the worker's private ReadView (QueryThrough).
+/// bucket_pages, sids_scanned, sets_fetched, size_pruned) are accumulated
+/// directly on the query path, and the same amounts are added to the
+/// index's registry instruments — so QueryStats and the exporters agree,
+/// and concurrent queries (the batch executor) never see each other's
+/// counts. The io field is the delta of whichever I/O model served the
+/// query: the store's (serial Query) or the worker's private ReadView
+/// (QueryThrough).
 struct QueryStats {
   QueryPlanKind plan = QueryPlanKind::kSfiPair;
   double lo_point = 0.0;  // enclosing layout point below σ1 (0 = virtual)
   double up_point = 1.0;  // enclosing layout point above σ2 (1 = virtual)
-  std::size_t candidates = 0;       // |A| before verification
+  std::size_t candidates = 0;       // sets sent to fetch and verify
+  // Filter candidates the σ1 size window dropped before any fetch: a set s
+  // with min(|s|,|q|)/max(|s|,|q|) < σ1 cannot reach Jaccard σ1.
+  std::size_t size_pruned = 0;
   std::size_t results = 0;          // answer size after verification
   std::size_t bucket_accesses = 0;  // hash-table probes (l per FI probed)
   std::size_t bucket_pages = 0;     // pages those probes cost
@@ -143,6 +147,10 @@ struct QueryStats {
     bool failed = false;                 // failed outright or lost tables
   };
   std::vector<FiProbeStat> fi_probes;
+
+  /// |A|, the Section 4.3 filter's output: the count that filter-quality
+  /// measures (candidate precision, the paper's result-size buckets) use.
+  std::size_t filter_candidates() const { return candidates + size_pruned; }
 };
 
 /// A verified query answer: sids whose exact Jaccard similarity with the
@@ -194,9 +202,9 @@ class SetSimilarityIndex {
   Result<QueryResult> Query(const ElementSet& query, double sigma1,
                             double sigma2) const;
 
-  /// Like Query but skips verification: returns the raw candidate sids
-  /// (useful for measuring filter quality and for the paper's result-size
-  /// bucketing, which classifies queries by candidate count).
+  /// Like Query but skips verification: returns the candidate sids Query
+  /// would fetch, after the σ1 size window (stats.size_pruned counts what
+  /// the window dropped, so candidates + size_pruned measures the filter).
   Result<QueryResult> QueryCandidates(const ElementSet& query, double sigma1,
                                       double sigma2) const;
 
@@ -370,16 +378,26 @@ class SetSimilarityIndex {
   /// True iff the layout contains at least one DFI.
   bool HasDfi() const;
 
-  /// Computes the candidate set A for [σ1, σ2] per Section 4.3. Probe
-  /// failures degrade soundly: a failed/partial *subtractive* probe skips
-  /// its subtraction (the result stays a superset, still exact after
-  /// verification); a failed/partial *additive* probe may lose true
-  /// candidates, which is reported via `*additive_loss` so the caller can
-  /// apply the configured DegradeMode. Both paths tag stats->degraded.
-  std::vector<SetId> ComputeCandidates(const Signature& query, double sigma1,
+  /// Computes the candidate set A for [σ1, σ2] per Section 4.3
+  /// (ProbeCandidates), then drops every candidate outside the σ1 size
+  /// window of a query of `query_size` elements, counting the drops in
+  /// stats->size_pruned. The window never drops a set with Jaccard >= σ1.
+  std::vector<SetId> ComputeCandidates(const Signature& query,
+                                       std::size_t query_size, double sigma1,
                                        double sigma2, QueryStats* stats,
                                        bool* additive_loss, IoCostModel& io,
                                        std::vector<SetId>* scratch) const;
+
+  /// The Section 4.3 filter alone. Probe failures degrade soundly: a
+  /// failed/partial *subtractive* probe skips its subtraction (the result
+  /// stays a superset, still exact after verification); a failed/partial
+  /// *additive* probe may lose true candidates, which is reported via
+  /// `*additive_loss` so the caller can apply the configured DegradeMode.
+  /// Both paths tag stats->degraded.
+  std::vector<SetId> ProbeCandidates(const Signature& query, double sigma1,
+                                     double sigma2, QueryStats* stats,
+                                     bool* additive_loss, IoCostModel& io,
+                                     std::vector<SetId>* scratch) const;
 
   /// Deletes every live signature slot and resets the logical capacity
   /// (shared by the destructor and move-assignment).
@@ -397,6 +415,10 @@ class SetSimilarityIndex {
   // high-water mark (max sid + 1 ever registered) — readers iterate
   // [0, capacity_) and rely on Get() returning nullptr past the end.
   exec::AtomicSlotArray<const Signature*> signatures_{nullptr};
+  // Set size per sid, read lock-free by the size window. Written before the
+  // sid enters any table, so a reader that finds the sid in a bucket sees
+  // its size; Erase leaves it (sids are never reused).
+  exec::AtomicSlotArray<std::uint32_t> set_sizes_{0};
   std::atomic<std::size_t> capacity_{0};
   std::atomic<std::size_t> num_live_{0};
   // Serializes Insert/Erase (and the WAL append that precedes each apply).
@@ -413,6 +435,7 @@ class SetSimilarityIndex {
   obs::Counter* bucket_pages_;     // ssr_index_bucket_pages_total
   obs::Counter* sids_scanned_;     // ssr_index_sids_scanned_total
   obs::Counter* sets_fetched_;     // ssr_index_sets_fetched_total
+  obs::Counter* size_pruned_;      // ssr_index_size_pruned_total
   obs::Counter* results_;          // ssr_index_results_total
   obs::Counter* probe_failures_;   // ssr_index_probe_failures_total
   obs::Counter* fetch_failures_;   // ssr_index_fetch_failures_total

@@ -97,8 +97,8 @@ Result<ExperimentHarness::SingleQueryOutcome> ExperimentHarness::RunOne(
   ExactEvaluator exact(collection_);
   outcome.truth = exact.Query(q, query.sigma1, query.sigma2);
   outcome.recall = Recall(outcome.index.sids, outcome.truth);
-  outcome.precision = CandidatePrecision(outcome.index.stats.results,
-                                         outcome.index.stats.candidates);
+  outcome.precision = CandidatePrecision(
+      outcome.index.stats.results, outcome.index.stats.filter_candidates());
 
   if (with_scan) {
     store_->buffer_pool().Clear();
@@ -151,16 +151,18 @@ Result<ExperimentResult> ExperimentHarness::RunBucketedQueries() {
         SortedIntersectionCount(outcome->index.sids, outcome->truth));
     sum_truth += static_cast<double>(outcome->truth.size());
     sum_results += static_cast<double>(outcome->index.stats.results);
-    sum_candidates += static_cast<double>(outcome->index.stats.candidates);
-    const std::size_t bucket = ClassifyResultSize(
-        outcome->index.stats.candidates, store_->size(), buckets);
+    const std::size_t filter_candidates =
+        outcome->index.stats.filter_candidates();
+    sum_candidates += static_cast<double>(filter_candidates);
+    const std::size_t bucket =
+        ClassifyResultSize(filter_candidates, store_->size(), buckets);
     if (bucket >= buckets.size()) continue;  // outside the studied range
     Accumulator& a = acc[bucket];
     if (a.count >= quota) continue;
     a.count += 1;
     a.recall += outcome->recall;
     a.precision += outcome->precision;
-    a.candidates += static_cast<double>(outcome->index.stats.candidates);
+    a.candidates += static_cast<double>(filter_candidates);
     a.results += static_cast<double>(outcome->index.stats.results);
     a.idx_io += outcome->index.stats.io_seconds;
     a.idx_cpu += outcome->index.stats.cpu_seconds;

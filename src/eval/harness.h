@@ -75,7 +75,7 @@ struct BucketAggregate {
   std::size_t query_count = 0;
   double avg_recall = 0.0;
   double avg_precision = 0.0;
-  double avg_candidates = 0.0;
+  double avg_candidates = 0.0;  // the filter's |A| (filter_candidates())
   double avg_results = 0.0;
   double avg_index_io_seconds = 0.0;
   double avg_index_cpu_seconds = 0.0;

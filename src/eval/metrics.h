@@ -23,7 +23,8 @@ double Recall(const std::vector<SetId>& answer,
 /// Precision of a candidate list w.r.t. the verified answer it produced:
 /// the paper's efficiency metric ia / (ia + ie). `verified_count` is the
 /// number of candidates that passed verification; `candidate_count` the
-/// total fetched. 1.0 when no candidates were fetched.
+/// filter's candidates (QueryStats::filter_candidates()). 1.0 when there
+/// were none.
 double CandidatePrecision(std::size_t verified_count,
                           std::size_t candidate_count);
 

@@ -114,7 +114,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
       if (!out.statuses[i].ok()) continue;
       target->OfferSample(queries[i].query, queries[i].sigma1,
                           queries[i].sigma2, out.results[i].sids,
-                          out.results[i].stats.candidates);
+                          out.results[i].stats.filter_candidates());
     }
     target->UpdateGauges();
   }

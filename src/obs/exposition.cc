@@ -63,6 +63,8 @@ const MetricHelpEntry kHelpTable[] = {
      "Candidate sets fetched from storage for verification."},
     {"ssr_index_sids_scanned_total",
      "Set ids scanned across index probes."},
+    {"ssr_index_size_pruned_total",
+     "Filter candidates dropped by the size window before any fetch."},
     {"ssr_io_page_writes_total", "Pages written by the storage layer."},
     {"ssr_io_random_reads_total",
      "Random (non-sequential) page reads issued."},

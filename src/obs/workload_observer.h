@@ -143,8 +143,8 @@ class WorkloadObserver {
   /// Hands one answered query to the attached sampled side channels (the
   /// shadow oracle and the query-log recorder). Decimation and locking are
   /// theirs; unattached channels make this a no-op. `candidates` is the
-  /// pre-verification candidate count (the denominator of the estimator's
-  /// precision).
+  /// filter's candidate count, QueryStats::filter_candidates() (the
+  /// denominator of the estimator's precision).
   void OfferSample(const ElementSet& query, double sigma1, double sigma2,
                    const std::vector<SetId>& result_sids,
                    std::size_t candidates);

@@ -60,7 +60,7 @@ void QueryRouter::ObserveRoutedAnswer(const ElementSet& query, double sigma1,
     target->CountShardAnswer(s, result.per_shard[s].results);
   }
   target->OfferSample(query, sigma1, sigma2, result.sids,
-                      result.stats.candidates);
+                      result.stats.filter_candidates());
 }
 
 Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,

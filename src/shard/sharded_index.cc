@@ -400,6 +400,7 @@ void ShardedSetSimilarityIndex::GatherShardAnswer(
   total.lo_point = stats.lo_point;
   total.up_point = stats.up_point;
   total.candidates += stats.candidates;
+  total.size_pruned += stats.size_pruned;
   total.bucket_accesses += stats.bucket_accesses;
   total.bucket_pages += stats.bucket_pages;
   total.sids_scanned += stats.sids_scanned;

@@ -1,5 +1,6 @@
 // The paper's result-size buckets (Section 6): queries are classified by the
-// size of the candidate sid list the index returns, as a fraction of the
+// size of the candidate sid list the index's filter returns (before the
+// size window, QueryStats::filter_candidates()), as a fraction of the
 // collection: <0.5%, 0.5-5%, 5-10%, 10-25%, 25-35%. Per-bucket averages of
 // recall, precision, and response time are what Figures 6 and 7 report.
 

@@ -96,6 +96,67 @@ TEST(ConcurrentIndexTest, WriterObservesItsOwnInsertImmediately) {
   em.Quiesce();
 }
 
+// Above σ1 = 0 the size window reads the inserted set's size, so Insert
+// must publish the size with the sid: a query at [0.9, 1] finds the set on
+// the writer's next query, and on any reader's query that starts after the
+// Insert returned.
+TEST(ConcurrentIndexTest, WriterFindsItsOwnInsertAboveSigmaZero) {
+  constexpr int kInserts = 60;
+  constexpr int kReaders = 2;
+  exec::EpochManager em;
+  Rng rng(20261017);
+  LiveIndex live = BuildLiveIndex(rng, 24, &em);
+
+  // The writer fills inserted[i] and then publishes acked = i + 1; readers
+  // query only acknowledged entries.
+  std::vector<std::pair<SetId, ElementSet>> inserted(kInserts);
+  std::atomic<int> acked{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> reader_misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng pick(1000 + r);
+      SetStore::ReadView view(*live.store);
+      while (!done.load()) {
+        const int n = acked.load();
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        const auto& [sid, set] = inserted[pick.Uniform(n)];
+        auto answer = live.index->QueryThrough(view, set, 0.9, 1.0);
+        if (!answer.ok() || !std::binary_search(answer->sids.begin(),
+                                                answer->sids.end(), sid)) {
+          reader_misses.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  // No ASSERT before the readers are joined: failures are recorded and the
+  // loop stops.
+  for (int i = 0; i < kInserts; ++i) {
+    const ElementSet set = RandomSet(rng);
+    auto sid = live.store->Add(set);
+    const bool inserted_ok = sid.ok() && live.index->Insert(*sid, set).ok();
+    EXPECT_TRUE(inserted_ok) << "iteration " << i;
+    if (!inserted_ok) break;
+    auto answer = live.index->Query(set, 0.9, 1.0);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer.ok() && std::binary_search(answer->sids.begin(),
+                                                  answer->sids.end(), *sid))
+        << "iteration " << i << ": sid " << *sid
+        << " missing from its writer's next [0.9, 1] query";
+    inserted[i] = {*sid, set};
+    acked.store(i + 1);
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(reader_misses.load(), 0);
+  em.Quiesce();
+}
+
 // The mirror image: an erase acknowledged to the writer is gone from its
 // very next query.
 TEST(ConcurrentIndexTest, WriterObservesItsOwnEraseImmediately) {

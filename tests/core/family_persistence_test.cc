@@ -459,6 +459,9 @@ TEST(FamilyPersistenceTest, ShardedLoadSignsGrownShardsWithSavedEmbedding) {
       EXPECT_EQ(routed->per_shard[s].candidates,
                 serial->per_shard[s].candidates)
           << "query " << i << ", shard " << s;
+      EXPECT_EQ(routed->per_shard[s].size_pruned,
+                serial->per_shard[s].size_pruned)
+          << "query " << i << ", shard " << s;
     }
   }
   em.Quiesce();

@@ -297,5 +297,77 @@ TEST(SetSimilarityIndexTest, DfiOnlyLayoutCoversHighRanges) {
   EXPECT_GE(Recall(result->sids, truth), 0.9);
 }
 
+ElementSet Range(ElementId first, ElementId last) {
+  ElementSet out;
+  for (ElementId e = first; e <= last; ++e) out.push_back(e);
+  return out;
+}
+
+TEST(SetSimilarityIndexTest, SizeWindowIsExactOnBoundaries) {
+  // Sets whose Jaccard with {1..10} sits exactly on, just inside or just
+  // outside the size windows tested below. Jaccard({1..10}, s) equals the
+  // size ratio for every subset or superset.
+  SetCollection sets = {
+      Range(1, 10),                 // the query itself: 1
+      Range(1, 5),                  // 5/10 = 0.5
+      Range(1, 20),                 // 10/20 = 0.5
+      Range(1, 4),                  // 0.4, just outside 0.5
+      Range(1, 21),                 // 10/21, just outside 0.5
+      Range(1, 3),                  // 3/10 = 0.3
+      Range(1, 30),                 // 10/30 = 1/3
+      Range(1, 33),                 // 10/33, just outside 1/3
+      Range(1, 11),                 // 10/11, outside 1
+      Range(101, 110),              // same size, Jaccard 0
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 500},  // same size, 9/11
+      {},                           // Jaccard(∅, ∅) = 1
+  };
+  SetStore store;
+  for (const ElementSet& s : sets) ASSERT_TRUE(store.Add(s).ok());
+  // One SFI at 0.95: every [σ1 < 0.95, σ2 > 0.95] query plans the full
+  // collection, so each live set reaches the window and nothing else
+  // filters it.
+  IndexOptions options;
+  options.embedding.minhash.num_hashes = 64;
+  auto index = SetSimilarityIndex::Build(
+      store, IndexLayout::UniformSfi({0.95}, 4), options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExactEvaluator exact(sets);
+
+  // σ1 = 0.5 + 1e-13 still accepts Jaccard 0.5 (the accept test allows
+  // kEps = 1e-12), so the window must keep ratio 0.5 there too.
+  std::size_t pruned = 0;
+  for (const ElementSet& q : sets) {
+    for (double sigma1 : {0.1, 0.3, 1.0 / 3.0, 0.5, 0.5 + 1e-13, 0.9}) {
+      auto result = index->Query(q, sigma1, 1.0);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->stats.plan, QueryPlanKind::kFullCollection);
+      EXPECT_EQ(result->sids, exact.Query(q, sigma1, 1.0))
+          << "|q| = " << q.size() << ", σ1 = " << sigma1;
+      EXPECT_EQ(result->stats.candidates + result->stats.size_pruned,
+                index->num_live_sets());
+      pruned += result->stats.size_pruned;
+    }
+    // σ1 = 1 plans through the SFI; only equal-size sets pass the window,
+    // and an identical set collides in every table.
+    auto exact_match = index->Query(q, 1.0, 1.0);
+    ASSERT_TRUE(exact_match.ok());
+    EXPECT_EQ(exact_match->sids, exact.Query(q, 1.0, 1.0))
+        << "|q| = " << q.size();
+  }
+  EXPECT_GT(pruned, 0u);
+
+  // The boundary sets by name: {1..10} at σ1 = 0.5 fetches only the sets
+  // of 5 to 20 elements (sids 0, 1, 2, 8, 9, 10) and keeps sizes 5 and 20.
+  auto half = index->Query(sets[0], 0.5, 1.0);
+  ASSERT_TRUE(half.ok());
+  EXPECT_EQ(half->stats.sets_fetched, 6u);
+  EXPECT_EQ(half->stats.size_pruned, 6u);
+  EXPECT_EQ(half->sids, (std::vector<SetId>{0, 1, 2, 8, 10}));
+  auto empty = index->Query({}, 0.5, 1.0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->sids, std::vector<SetId>{11});
+  EXPECT_EQ(empty->stats.candidates, 1u);
+}
+
 }  // namespace
 }  // namespace ssr

@@ -293,12 +293,14 @@ class Workload {
         ASSERT_FALSE(sharded->partial) << Repro(seed_);
         CheckStats(sharded->stats, i, "sharded");
         // Sharded bookkeeping: merged counters are the per-shard sums.
-        std::size_t candidates = 0, fetched = 0;
+        std::size_t candidates = 0, size_pruned = 0, fetched = 0;
         for (const QueryStats& ps : sharded->per_shard) {
           candidates += ps.candidates;
+          size_pruned += ps.size_pruned;
           fetched += ps.sets_fetched;
         }
         ASSERT_EQ(sharded->stats.candidates, candidates) << Repro(seed_);
+        ASSERT_EQ(sharded->stats.size_pruned, size_pruned) << Repro(seed_);
         ASSERT_EQ(sharded->stats.sets_fetched, fetched) << Repro(seed_);
       }
 
@@ -323,6 +325,8 @@ class Workload {
         const QueryStats& b = serial_p4->per_shard[s];
         ASSERT_EQ(a.plan, b.plan) << "shard " << s << "\n" << Repro(seed_);
         ASSERT_EQ(a.candidates, b.candidates)
+            << "shard " << s << ", query " << i << "\n" << Repro(seed_);
+        ASSERT_EQ(a.size_pruned, b.size_pruned)
             << "shard " << s << ", query " << i << "\n" << Repro(seed_);
         ASSERT_EQ(a.bucket_accesses, b.bucket_accesses) << Repro(seed_);
         ASSERT_EQ(a.sids_scanned, b.sids_scanned) << Repro(seed_);

@@ -325,6 +325,7 @@ TEST_F(BatchExecutorTest, QueryThroughScratchReuseMatchesQuery) {
     EXPECT_EQ(through->stats.bucket_accesses, serial->stats.bucket_accesses);
     EXPECT_EQ(signed_through->sids, serial->sids);
     EXPECT_EQ(signed_through->stats.candidates, serial->stats.candidates);
+    EXPECT_EQ(signed_through->stats.size_pruned, serial->stats.size_pruned);
   }
   // A signature of another dimension cannot have come from this index.
   const BatchQuery q = MakeBatch(*f, 1, 67)[0];

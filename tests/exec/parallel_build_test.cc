@@ -116,6 +116,7 @@ TEST(ParallelBuildTest, QueryAnswersIdenticalToSerial) {
     EXPECT_EQ(a->stats.bucket_accesses, b->stats.bucket_accesses);
     EXPECT_EQ(a->stats.sids_scanned, b->stats.sids_scanned);
     EXPECT_EQ(a->stats.candidates, b->stats.candidates);
+    EXPECT_EQ(a->stats.size_pruned, b->stats.size_pruned);
   }
 }
 

@@ -95,6 +95,7 @@ TEST(QueryRouterTest, MatchesSerialQueryAtEveryWorkerCount) {
       // The gather is in shard order on both paths, so even the merged
       // stats agree counter for counter.
       EXPECT_EQ(routed->stats.candidates, serial->stats.candidates);
+      EXPECT_EQ(routed->stats.size_pruned, serial->stats.size_pruned);
       EXPECT_EQ(routed->stats.bucket_accesses, serial->stats.bucket_accesses);
       EXPECT_EQ(routed->stats.sets_fetched, serial->stats.sets_fetched);
       EXPECT_EQ(routed->stats.results, serial->stats.results);
@@ -102,6 +103,9 @@ TEST(QueryRouterTest, MatchesSerialQueryAtEveryWorkerCount) {
       for (std::size_t s = 0; s < routed->per_shard.size(); ++s) {
         EXPECT_EQ(routed->per_shard[s].candidates,
                   serial->per_shard[s].candidates)
+            << "shard " << s;
+        EXPECT_EQ(routed->per_shard[s].size_pruned,
+                  serial->per_shard[s].size_pruned)
             << "shard " << s;
       }
     }

@@ -387,6 +387,7 @@ TEST_F(RebalanceTest, RouterHeldAcrossRebalanceMatchesSerial) {
         const QueryStats& a = routed->per_shard[s];
         const QueryStats& b = serial->per_shard[s];
         EXPECT_EQ(a.candidates, b.candidates) << phase << ", shard " << s;
+        EXPECT_EQ(a.size_pruned, b.size_pruned) << phase << ", shard " << s;
         EXPECT_EQ(a.bucket_accesses, b.bucket_accesses) << phase;
         EXPECT_EQ(a.sids_scanned, b.sids_scanned) << phase;
         EXPECT_EQ(a.sets_fetched, b.sets_fetched) << phase;

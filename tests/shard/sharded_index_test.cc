@@ -179,9 +179,13 @@ TEST(ShardedIndexTest, QueryMatchesTheUnshardedIndexAtEveryShardCount) {
       EXPECT_TRUE(r->degraded_shards.empty());
       EXPECT_TRUE(std::is_sorted(r->sids.begin(), r->sids.end()));
       // The merged stats are the shard-order sum of the per-shard stats.
-      std::size_t candidates = 0;
-      for (const QueryStats& ps : r->per_shard) candidates += ps.candidates;
+      std::size_t candidates = 0, size_pruned = 0;
+      for (const QueryStats& ps : r->per_shard) {
+        candidates += ps.candidates;
+        size_pruned += ps.size_pruned;
+      }
       EXPECT_EQ(r->stats.candidates, candidates);
+      EXPECT_EQ(r->stats.size_pruned, size_pruned);
       EXPECT_EQ(r->stats.results, r->sids.size());
     }
     // Full-range queries take the kFullCollection plan and are exact: the
