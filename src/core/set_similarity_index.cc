@@ -966,95 +966,43 @@ Status ValidateRangeQuery(const ElementSet& query, double sigma1,
 
 Result<QueryResult> SetSimilarityIndex::QueryCandidates(
     const ElementSet& query, double sigma1, double sigma2) const {
-  SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
-  // Pin an epoch for the query's whole lifetime: every bucket, directory,
-  // or signature version loaded below stays allocated until the guard
-  // drops, whatever concurrent writers retire meanwhile.
-  std::optional<exec::EpochGuard> epoch_guard;
-  if (epoch_manager_ != nullptr) epoch_guard.emplace(*epoch_manager_);
-  Stopwatch watch;
-  obs::TraceSpan root("query_candidates");
-  IoCostModel& io = store_->io();
-  const IoStats io_before = io.stats();
-  queries_->Increment();
-  QueryResult result;
-  Signature sig;
-  {
-    obs::TraceSpan embed("embed");
-    sig = embedding_->Sign(query);
-  }
-  bool additive_loss = false;
-  {
-    obs::TraceSpan plan("plan");
-    result.sids = ComputeCandidates(sig, query.size(), sigma1, sigma2,
-                                    &result.stats, &additive_loss, io,
-                                    nullptr);
-    plan.Tag("size_pruned",
-             static_cast<std::uint64_t>(result.stats.size_pruned));
-  }
-  if (result.stats.degraded &&
-      options_.degrade == DegradeMode::kFailFast) {
-    return Status::Unavailable("filter probe failed (fail-fast)");
-  }
-  if (additive_loss &&
-      options_.degrade == DegradeMode::kSequentialFallback) {
-    // Candidates may be missing true positives; the sound fallback is the
-    // full live-sid superset (verification downstream removes the extra
-    // false positives).
-    obs::TraceSpan fallback("degraded_scan");
-    seqscan_fallbacks_->Increment();
-    result.sids = LiveSids();
-  }
-  if (result.stats.degraded) degraded_queries_->Increment();
-  result.stats.candidates = result.sids.size();
-  result.stats.results = result.sids.size();
-  candidates_hist_->Observe(static_cast<double>(result.sids.size()));
-  result.stats.io = io.stats() - io_before;
-  FinishStats(watch, &result.stats);
-  root.Tag("plan", QueryPlanKindName(result.stats.plan));
-  root.Tag("candidates", static_cast<std::uint64_t>(result.stats.candidates));
-  if (result.stats.degraded) root.Tag("degraded", std::uint64_t{1});
-  if (workload_observer_ != nullptr) {
-    // Candidate-only queries count toward the workload shape but are not
-    // offered to the sampled channels: candidates are not verified answers.
-    workload_observer_->CountQuery(sigma1, sigma2, query.size());
-    for (const auto& p : result.stats.fi_probes) {
-      workload_observer_->CountFiProbe(p.fi, p.bucket_accesses, p.sids,
-                                       p.failed);
-    }
-    workload_observer_->UpdateGauges();
-  }
-  return result;
+  return QueryImpl(query, sigma1, sigma2, /*view=*/nullptr,
+                   /*scratch=*/nullptr, /*signature=*/nullptr,
+                   /*verify=*/false);
 }
 
 Result<QueryResult> SetSimilarityIndex::Query(const ElementSet& query,
                                               double sigma1,
                                               double sigma2) const {
   return QueryImpl(query, sigma1, sigma2, /*view=*/nullptr,
-                   /*scratch=*/nullptr, /*signature=*/nullptr);
+                   /*scratch=*/nullptr, /*signature=*/nullptr,
+                   /*verify=*/true);
 }
 
 Result<QueryResult> SetSimilarityIndex::QueryThrough(
     SetStore::ReadView& view, const ElementSet& query, double sigma1,
     double sigma2, std::vector<SetId>* scratch,
     const Signature* signature) const {
-  return QueryImpl(query, sigma1, sigma2, &view, scratch, signature);
+  return QueryImpl(query, sigma1, sigma2, &view, scratch, signature,
+                   /*verify=*/true);
 }
 
 Result<QueryResult> SetSimilarityIndex::QueryImpl(
     const ElementSet& query, double sigma1, double sigma2,
     SetStore::ReadView* view, std::vector<SetId>* scratch,
-    const Signature* signature) const {
+    const Signature* signature, bool verify) const {
   SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
   if (signature != nullptr &&
       signature->size() != embedding_->hasher().params().num_hashes) {
     return Status::InvalidArgument("query signature dimension mismatch");
   }
-  // Pin an epoch for the query's whole lifetime (see QueryCandidates).
+  // Pin an epoch for the query's whole lifetime: every bucket, directory,
+  // or signature version loaded below stays allocated until the guard
+  // drops, whatever concurrent writers retire meanwhile.
   std::optional<exec::EpochGuard> epoch_guard;
   if (epoch_manager_ != nullptr) epoch_guard.emplace(*epoch_manager_);
   Stopwatch watch;
-  obs::TraceSpan root("query");
+  obs::TraceSpan root(verify ? "query" : "query_candidates");
   // All I/O this query causes — bucket probes, candidate fetches, a
   // degraded scan — lands on one model: the store's (serial path) or the
   // worker's private view (concurrent path). Its delta is this query's io.
@@ -1077,28 +1025,36 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     plan.Tag("size_pruned",
              static_cast<std::uint64_t>(result.stats.size_pruned));
   }
-  result.stats.candidates = candidates.size();
-  candidates_hist_->Observe(static_cast<double>(candidates.size()));
-
   if (result.stats.degraded &&
       options_.degrade == DegradeMode::kFailFast) {
     return Status::Unavailable("filter probe failed (fail-fast)");
   }
-  // Under sequential fallback, a lossy candidate set means the verified
-  // answer could miss true results — go straight to the exact full scan.
+  // Under sequential fallback, a lossy candidate set can miss true results.
+  // A verified query goes straight to the exact full scan below; a
+  // candidate-only query returns every live sid, the sound superset
+  // (verification downstream removes the extra false positives).
   bool need_full_scan =
       additive_loss && options_.degrade == DegradeMode::kSequentialFallback;
+  if (need_full_scan && !verify) {
+    obs::TraceSpan fallback("degraded_scan");
+    seqscan_fallbacks_->Increment();
+    candidates = LiveSids();
+    need_full_scan = false;
+  }
+  result.stats.candidates = candidates.size();
+  candidates_hist_->Observe(static_cast<double>(candidates.size()));
 
-  if (!need_full_scan &&
+  // [0, 1] covers every set by definition: no verification needed. Any
+  // narrower range that still fell through to the full-collection plan (no
+  // enclosing filter points) must be verified like any other.
+  const bool whole_range =
       result.stats.plan == QueryPlanKind::kFullCollection && sigma1 <= 0.0 &&
-      sigma2 >= 1.0) {
-    // [0, 1] covers every set by definition; no verification needed. Any
-    // narrower range that still fell through to the full-collection plan
-    // (no enclosing filter points) must be verified like any other.
+      sigma2 >= 1.0;
+  if (!verify || (whole_range && !need_full_scan)) {
     result.sids = std::move(candidates);
   } else if (!need_full_scan) {
     // Verification: fetch each candidate and keep exact-similarity matches.
-    obs::TraceSpan verify("verify");
+    obs::TraceSpan verify_span("verify");
     for (SetId sid : candidates) {
       auto set = view != nullptr ? view->Get(sid) : store_->Get(sid);
       if (!set.ok()) {
@@ -1124,8 +1080,8 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
         result.sids.push_back(sid);
       }
     }
-    verify.Tag("fetched",
-               static_cast<std::uint64_t>(result.stats.sets_fetched));
+    verify_span.Tag("fetched",
+                    static_cast<std::uint64_t>(result.stats.sets_fetched));
   }
 
   if (need_full_scan) {
@@ -1152,7 +1108,7 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   if (result.stats.degraded) degraded_queries_->Increment();
   result.stats.io = io.stats() - io_before;
   FinishStats(watch, &result.stats);
-  results_->Add(result.sids.size());
+  if (verify) results_->Add(result.sids.size());
   result.stats.results = result.sids.size();
   root.Tag("plan", QueryPlanKindName(result.stats.plan));
   root.Tag("lo", result.stats.lo_point);
@@ -1169,10 +1125,13 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
       workload_observer_->CountFiProbe(p.fi, p.bucket_accesses, p.sids,
                                        p.failed);
     }
+    // Candidates are not verified answers, so only Query offers samples.
     // The shadow oracle's precision measures the filter, so it counts the
     // candidates the size window dropped too.
-    workload_observer_->OfferSample(query, sigma1, sigma2, result.sids,
-                                    result.stats.filter_candidates());
+    if (verify) {
+      workload_observer_->OfferSample(query, sigma1, sigma2, result.sids,
+                                      result.stats.filter_candidates());
+    }
     workload_observer_->UpdateGauges();
   }
   return result;

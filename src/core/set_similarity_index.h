@@ -359,14 +359,18 @@ class SetSimilarityIndex {
                  QueryStats* stats, IoCostModel& io,
                  std::vector<SetId>* out) const;
 
-  /// Shared implementation of Query and QueryThrough. `view` == nullptr is
-  /// the serial path (store fetches, store I/O delta); non-null is the
-  /// concurrent path (view fetches, view I/O delta). `scratch` may be null;
-  /// so may `signature` (then the query is signed here).
+  /// Shared implementation of Query, QueryThrough and QueryCandidates.
+  /// `view` == nullptr is the serial path (store fetches, store I/O delta);
+  /// non-null is the concurrent path (view fetches, view I/O delta).
+  /// `scratch` may be null; so may `signature` (then the query is signed
+  /// here). `verify` == false stops after the candidates (QueryCandidates):
+  /// they are the answer, and neither the results counter nor the
+  /// observer's sampled channels see it.
   Result<QueryResult> QueryImpl(const ElementSet& query, double sigma1,
                                 double sigma2, SetStore::ReadView* view,
                                 std::vector<SetId>* scratch,
-                                const Signature* signature) const;
+                                const Signature* signature,
+                                bool verify) const;
 
   /// Fills the timing fields of `stats` from the query stopwatch and the
   /// accumulated I/O delta.

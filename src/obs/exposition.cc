@@ -206,6 +206,7 @@ namespace {
 struct FamilyInfo {
   std::string type;
   bool saw_help = false;
+  bool saw_bucket = false;  // histograms: any _bucket sample
 };
 
 struct HistogramSeries {
@@ -465,6 +466,7 @@ std::vector<ExpositionIssue> ValidateExposition(std::string_view text) {
           histograms[std::make_pair(base, sample.labels_minus_le)];
       if (hs.first_line == 0) hs.first_line = line_no;
       if (suffix == "bucket") {
+        families[base].saw_bucket = true;
         if (!sample.has_le) {
           issues.push_back(
               {line_no, "_bucket sample missing 'le' label for " + base});
@@ -529,6 +531,11 @@ std::vector<ExpositionIssue> ValidateExposition(std::string_view text) {
       issues.push_back({hs.first_line,
                         "histogram " + where + " _count disagrees with " +
                             "le=\"+Inf\" (torn family)"});
+    }
+  }
+  for (const auto& [name, fam] : families) {
+    if (fam.type == "histogram" && !fam.saw_bucket) {
+      issues.push_back({0, "histogram " + name + " has no _bucket samples"});
     }
   }
 

@@ -3,8 +3,9 @@
 // string — the conformance test fails on any instrument that slips in
 // without one), and a validator for rendered exposition text. The
 // validator is what the benchrunner's `introspection` suite and the CI
-// smoke job run against a live `/metrics` scrape, so a malformed family is
-// a hard failure long before a real Prometheus server would notice.
+// smoke job (through the tools/prom_lint CLI) run against a live
+// `/metrics` scrape, so a malformed family is a hard failure long before a
+// real Prometheus server would notice.
 
 #ifndef SSR_OBS_EXPOSITION_H_
 #define SSR_OBS_EXPOSITION_H_
@@ -45,7 +46,8 @@ struct ExpositionIssue {
 /// values; and per family: a # TYPE before the first sample, no duplicate
 /// series, and histogram invariants (cumulative buckets non-decreasing,
 /// an `le="+Inf"` bucket present and equal to `_count`, `_sum`/`_count`
-/// present). Returns every violation found; empty means conformant.
+/// present, and at least one `_bucket` sample per TYPE'd histogram).
+/// Returns every violation found; empty means conformant.
 std::vector<ExpositionIssue> ValidateExposition(std::string_view text);
 
 /// Convenience: formats the issues one per line ("line N: message"), or ""

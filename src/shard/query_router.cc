@@ -1,17 +1,25 @@
 #include "shard/query_router.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "exec/epoch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
 
 namespace ssr {
 namespace shard {
+
+namespace {
+
+// One shard's outcome, as the gather takes it.
+Result<QueryResult> ShardOutcome(const Status& status, QueryResult& answer) {
+  if (!status.ok()) return status;
+  return std::move(answer);
+}
+
+}  // namespace
 
 QueryRouter::QueryRouter(const ShardedSetSimilarityIndex& index,
                          QueryRouterOptions options)
@@ -83,14 +91,10 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
   // before any shard is consulted, exactly like the serial scatter.
   SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
 
-  // Pin an epoch for the whole scatter/gather: shard slots and routing
-  // tables loaded here stay dereferenceable even if a concurrent rebalance
-  // retires them mid-query. Workers pin their own epochs below.
-  std::optional<exec::EpochGuard> epoch_guard;
-  if (index_->epoch_manager() != nullptr) {
-    epoch_guard.emplace(*index_->epoch_manager());
-  }
-  const std::uint32_t num_shards = index_->num_shards();
+  // The plan pins an epoch for the whole scatter/gather (the workers run
+  // inside that pin) and loads every shard slot once.
+  const ShardedSetSimilarityIndex::ScatterPlan plan(*index_);
+  const std::uint32_t num_shards = plan.num_shards();
   EnsureShardState(num_shards);
   obs::TraceSpan span("router_query");
   span.Tag("shards", static_cast<std::uint64_t>(num_shards));
@@ -107,44 +111,24 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
     shared_signature = &signature;
   }
 
-  // Scatter: every healthy shard is probed concurrently through the
-  // worker's own ReadView for it (private buffer pool + I/O model), so the
-  // only shared state the workers touch is read-only index structure.
-  // Result slots are per-shard, so writes are index-disjoint.
+  // Scatter: every shard the plan found answering is probed concurrently
+  // through the worker's own ReadView for it (private buffer pool + I/O
+  // model), so the only shared state the workers touch is read-only index
+  // structure. Result slots are per-shard, so writes are index-disjoint.
   std::vector<QueryResult> answers(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  std::vector<char> answered(num_shards, 0);
-  std::vector<char> retired(num_shards, 0);
   {
     obs::TraceSpan scatter("router_scatter");
     pool_.ParallelFor(0, num_shards, 1, [&](std::size_t s,
                                             std::size_t worker) {
-      // The worker's own pin: the shard pointers it loads stay valid even
-      // if a shrink retires the shard before the probe finishes.
-      std::optional<exec::EpochGuard> worker_guard;
-      if (index_->epoch_manager() != nullptr) {
-        worker_guard.emplace(*index_->epoch_manager());
-      }
-      const SetStore* store =
-          index_->shard_store(static_cast<std::uint32_t>(s));
       const SetSimilarityIndex* shard_index =
-          index_->shard_index(static_cast<std::uint32_t>(s));
-      if (store == nullptr || shard_index == nullptr ||
-          index_->shard_degraded(static_cast<std::uint32_t>(s))) {
-        // A slot nulled by a completed shrink is not a failed shard: the
-        // shard was provably empty when retired, so it is skipped (and
-        // tagged at gather) instead of tripping the failure policy.
-        if (index_->shard_retired(static_cast<std::uint32_t>(s))) {
-          retired[s] = 1;
-          return;
-        }
-        statuses[s] = Status::Unavailable("shard administratively degraded");
-        return;
-      }
+          plan.index(static_cast<std::uint32_t>(s));
+      if (shard_index == nullptr) return;  // the gather fails or skips it
       WorkerShard& state = worker_shards_[worker][s];
-      if (state.view == nullptr || state.view->store() != store) {
+      if (state.view == nullptr ||
+          state.view->store() != &shard_index->store()) {
         state.view = std::make_unique<SetStore::ReadView>(
-            *store, options_.view_buffer_pool_pages);
+            shard_index->store(), options_.view_buffer_pool_pages);
       }
       Stopwatch probe_watch;
       auto r = shard_index->QueryThrough(*state.view, query, sigma1, sigma2,
@@ -152,7 +136,6 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
       shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
       if (r.ok()) {
         answers[s] = std::move(r).value();
-        answered[s] = 1;
       } else {
         statuses[s] = r.status();
       }
@@ -162,32 +145,16 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
   // Gather in shard order — deterministic regardless of which worker
   // finished when.
   obs::TraceSpan gather("router_gather");
-  ShardedQueryResult result;
-  result.per_shard.resize(num_shards);
-  result.shard_status.assign(num_shards, Status::OK());
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (answered[s]) {
-      index_->GatherShardAnswer(s, std::move(answers[s]), &result);
-      continue;
-    }
-    if (retired[s]) {
-      // Shrink finished mid-scatter: nothing was dropped (the shard was
-      // empty), but the overlap can hide a moved sid — conservative tag,
-      // same contract as a query under an active rebalance.
-      result.rebalancing = true;
-      result.partial = true;
-      continue;
-    }
-    SSR_RETURN_IF_ERROR(
-        index_->GatherShardFailure(s, std::move(statuses[s]), &result));
-  }
-  index_->FinishGather(&result);
-  if (result.partial) partials->Increment();
+  auto result = index_->Gather(plan, [&](std::uint32_t s) {
+    return ShardOutcome(statuses[s], answers[s]);
+  });
+  if (!result.ok()) return result;
+  if (result->partial) partials->Increment();
   if (options_.workload_observer != nullptr) {
-    ObserveRoutedAnswer(query, sigma1, sigma2, result);
+    ObserveRoutedAnswer(query, sigma1, sigma2, *result);
     options_.workload_observer->UpdateGauges();
   }
-  span.Tag("results", static_cast<std::uint64_t>(result.sids.size()));
+  span.Tag("results", static_cast<std::uint64_t>(result->sids.size()));
   return result;
 }
 
@@ -200,14 +167,10 @@ RoutedBatchResult QueryRouter::RunBatch(
   batches->Increment();
   batch_queries->Add(queries.size());
 
-  // Pinned for the whole batch: shard objects loaded below survive a
-  // concurrent shrink (inner copy-on-write structures are protected by the
-  // per-query pins the executors' workers take themselves).
-  std::optional<exec::EpochGuard> epoch_guard;
-  if (index_->epoch_manager() != nullptr) {
-    epoch_guard.emplace(*index_->epoch_manager());
-  }
-  const std::uint32_t num_shards = index_->num_shards();
+  // The plan pins the shard objects for the whole batch (the executors'
+  // workers pin their own epochs for the inner copy-on-write structures).
+  const ShardedSetSimilarityIndex::ScatterPlan plan(*index_);
+  const std::uint32_t num_shards = plan.num_shards();
   EnsureShardState(num_shards);
   Stopwatch wall;
   obs::TraceSpan span("router_batch");
@@ -221,20 +184,14 @@ RoutedBatchResult QueryRouter::RunBatch(
   out.results.resize(queries.size());
   out.per_shard.resize(num_shards);
 
-  // Scatter: each shard runs the whole batch through its BatchExecutor on
-  // the router's shared pool. Shard batches execute one after another on
-  // this host (the pool is not reentrant), but deploy to one machine per
-  // shard — the modeled makespan below is the slowest shard, not the sum.
-  std::vector<char> shard_ran(num_shards, 0);
-  std::vector<char> shard_retired(num_shards, 0);
+  // Scatter: each shard the plan found answering runs the whole batch
+  // through its BatchExecutor on the router's shared pool. Shard batches
+  // execute one after another on this host (the pool is not reentrant),
+  // but deploy to one machine per shard — the modeled makespan below is
+  // the slowest shard, not the sum.
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    const SetSimilarityIndex* shard_index = index_->shard_index(s);
-    if (shard_index == nullptr || index_->shard_degraded(s)) {
-      // Retired by a completed shrink vs. genuinely degraded: the former
-      // is skipped silently (it was empty), the latter per failure policy.
-      if (index_->shard_retired(s)) shard_retired[s] = 1;
-      continue;
-    }
+    const SetSimilarityIndex* shard_index = plan.index(s);
+    if (shard_index == nullptr) continue;  // the gather fails or skips it
     obs::TraceSpan shard_span("router_shard_batch");
     shard_span.Tag("shard", static_cast<std::uint64_t>(s));
     std::unique_ptr<exec::BatchExecutor>& executor = shard_executors_[s];
@@ -250,7 +207,6 @@ RoutedBatchResult QueryRouter::RunBatch(
     // One observation per batch: the shard's host wall clock, the honest
     // per-shard figure the latency histogram tracks in batch mode.
     shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);
-    shard_ran[s] = 1;
     out.modeled_makespan_seconds =
         std::max(out.modeled_makespan_seconds,
                  out.per_shard[s].modeled_makespan_seconds);
@@ -262,40 +218,23 @@ RoutedBatchResult QueryRouter::RunBatch(
     obs::TraceSpan gather("router_gather");
     gather.Tag("queries", static_cast<std::uint64_t>(queries.size()));
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      ShardedQueryResult merged;
-      merged.per_shard.resize(num_shards);
-      merged.shard_status.assign(num_shards, Status::OK());
       // A malformed query fails as the caller's bug whatever the shards'
       // health, as in the serial scatter.
-      Status failure = ValidateRangeQuery(queries[i].query, queries[i].sigma1,
-                                          queries[i].sigma2);
-      for (std::uint32_t s = 0; s < num_shards && failure.ok(); ++s) {
-        if (!shard_ran[s]) {
-          if (shard_retired[s]) {
-            merged.rebalancing = true;
-            merged.partial = true;
-            continue;
-          }
-          failure = index_->GatherShardFailure(
-              s, Status::Unavailable("shard administratively degraded"),
-              &merged);
+      Status status = ValidateRangeQuery(queries[i].query, queries[i].sigma1,
+                                         queries[i].sigma2);
+      if (status.ok()) {
+        auto merged = index_->Gather(plan, [&](std::uint32_t s) {
+          exec::BatchResult& shard = out.per_shard[s];
+          return ShardOutcome(shard.statuses[i], shard.results[i]);
+        });
+        if (merged.ok()) {
+          out.results[i] = std::move(merged).value();
           continue;
         }
-        const Status& st = out.per_shard[s].statuses[i];
-        if (st.ok()) {
-          index_->GatherShardAnswer(
-              s, std::move(out.per_shard[s].results[i]), &merged);
-        } else {
-          failure = index_->GatherShardFailure(s, st, &merged);
-        }
+        status = merged.status();
       }
-      if (!failure.ok()) {
-        out.statuses[i] = std::move(failure);
-        ++out.failed;
-        continue;
-      }
-      index_->FinishGather(&merged);
-      out.results[i] = std::move(merged);
+      out.statuses[i] = std::move(status);
+      ++out.failed;
     }
   }
   if (options_.workload_observer != nullptr) {

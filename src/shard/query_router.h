@@ -14,9 +14,11 @@
 // its batch itself). The router keeps each shard's executor, and with it
 // that executor's worker views, rebuilding it only when the slot holds a
 // different index or store, so steady-state batches register no metrics
-// either. Either way the gather merges per-shard answers *in
-// shard order* with the same helpers the serial
-// ShardedSetSimilarityIndex::Query uses — router answers are bit-identical
+// either. Both take the index's ScatterPlan when they start and merge
+// through its Gather, *in shard order*, exactly as the serial
+// ShardedSetSimilarityIndex::Query does: the three paths differ only in
+// how one shard runs (inline Query, pooled QueryThrough with the shared
+// signature, a per-shard BatchExecutor). Router answers are bit-identical
 // to serial answers, which the differential harness (tests/difftest/)
 // holds as an invariant.
 //
@@ -105,11 +107,11 @@ struct RoutedBatchResult {
 /// Scatters queries across a ShardedSetSimilarityIndex's shards on a shared
 /// thread pool and gathers deterministically. After the index's
 /// EnableConcurrentWrites, Query/RunBatch may run concurrently with
-/// Insert/Erase and an online rebalance (the router pins epochs around
-/// every scatter; mid-rebalance answers come back tagged rebalancing +
-/// partial). Without it, the index must not be mutated while a
-/// Query/RunBatch is in flight (SetShardDegraded included). Query and
-/// RunBatch are called from one thread at a time.
+/// Insert/Erase and an online rebalance (each scatter's plan pins an
+/// epoch; an answer any rebalance overlapped comes back tagged
+/// rebalancing and partial). Without it, the index must not be mutated
+/// while a Query/RunBatch is in flight (SetShardDegraded included). Query
+/// and RunBatch are called from one thread at a time.
 class QueryRouter {
  public:
   explicit QueryRouter(const ShardedSetSimilarityIndex& index,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -127,12 +128,11 @@ ShardedSetSimilarityIndex::ShardedSetSimilarityIndex(
                     std::memory_order_relaxed);
   num_live_.store(other.num_live_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-  rebalance_active_.store(
-      other.rebalance_active_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  rebalance_seq_.store(other.rebalance_seq_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
   other.num_shards_.store(0, std::memory_order_relaxed);
   other.num_live_.store(0, std::memory_order_relaxed);
-  other.rebalance_active_.store(false, std::memory_order_relaxed);
+  other.rebalance_seq_.store(0, std::memory_order_relaxed);
   other.embedding_.reset();
   other.epoch_manager_ = nullptr;
   other.next_move_ = other.moves_done_ = other.moves_skipped_ = 0;
@@ -165,12 +165,11 @@ ShardedSetSimilarityIndex& ShardedSetSimilarityIndex::operator=(
                       std::memory_order_relaxed);
     num_live_.store(other.num_live_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
-    rebalance_active_.store(
-        other.rebalance_active_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    rebalance_seq_.store(other.rebalance_seq_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
     other.num_shards_.store(0, std::memory_order_relaxed);
     other.num_live_.store(0, std::memory_order_relaxed);
-    other.rebalance_active_.store(false, std::memory_order_relaxed);
+    other.rebalance_seq_.store(0, std::memory_order_relaxed);
     other.embedding_.reset();
     other.epoch_manager_ = nullptr;
     other.next_move_ = other.moves_done_ = other.moves_skipped_ = 0;
@@ -333,10 +332,9 @@ Status ShardedSetSimilarityIndex::Insert(SetId sid, const ElementSet& set) {
   }
   // Mid-rebalance inserts vote under the *target* topology so nothing
   // fresh lands on a draining shard (shrink) and new shards fill (grow).
-  const std::uint32_t s =
-      rebalance_active_.load(std::memory_order_seq_cst)
-          ? map_.AssignForTarget(sid, rebalance_target_)
-          : map_.Assign(sid);
+  const std::uint32_t s = rebalancing()
+                              ? map_.AssignForTarget(sid, rebalance_target_)
+                              : map_.Assign(sid);
   if (shard_degraded(s)) {
     map_.Forget(sid);
     return Status::Unavailable("shard is degraded");
@@ -381,12 +379,65 @@ Status ShardedSetSimilarityIndex::Erase(SetId sid) {
   return Status::OK();
 }
 
+ShardedSetSimilarityIndex::ScatterPlan::ScatterPlan(
+    const ShardedSetSimilarityIndex& index) {
+  if (index.epoch_manager_ != nullptr) pin_.emplace(*index.epoch_manager_);
+  // The sequence number before the count. FinishRebalance stores a shrunk
+  // count before it bumps the number, so a plan that loaded the pre-shrink
+  // count holds a number the gather will see change: the slots that shrink
+  // nulled can be skipped silently. Every slot is loaded exactly once; the
+  // gather translates through the Shard it held, never a reloaded slot.
+  rebalance_seq_ = index.rebalance_seq_.load(std::memory_order_seq_cst);
+  slots_.resize(index.num_shards());
+  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+    const Shard* sh = index.shards_.Get(s);
+    slots_[s].shard = sh;
+    if (sh != nullptr && !sh->degraded.load(std::memory_order_relaxed)) {
+      slots_[s].index = sh->index.get();
+    }
+  }
+}
+
+Result<ShardedQueryResult> ShardedSetSimilarityIndex::Gather(
+    const ScatterPlan& plan,
+    const std::function<Result<QueryResult>(std::uint32_t)>& answer_of)
+    const {
+  const std::uint32_t n = plan.num_shards();
+  ShardedQueryResult result;
+  result.per_shard.resize(n);
+  result.shard_status.assign(n, Status::OK());
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const ScatterPlan::Slot& slot = plan.slots_[s];
+    // A shrink-retired slot held no sets (FinishRebalance verified it
+    // drained), and FinishGather tags the overlap: not a failed shard.
+    if (slot.shard == nullptr) continue;
+    if (slot.index == nullptr) {
+      SSR_RETURN_IF_ERROR(GatherShardFailure(
+          s, Status::Unavailable("shard administratively degraded"), &result));
+      continue;
+    }
+    Result<QueryResult> answer = answer_of(s);
+    if (!answer.ok()) {
+      SSR_RETURN_IF_ERROR(GatherShardFailure(s, answer.status(), &result));
+      continue;
+    }
+    MergeShardAnswer(s, *slot.shard, std::move(answer).value(), &result);
+  }
+  FinishGather(plan.rebalance_seq_, &result);
+  return result;
+}
+
 void ShardedSetSimilarityIndex::GatherShardAnswer(
     std::uint32_t s, QueryResult&& answer, ShardedQueryResult* result) const {
   const Shard* sh = shards_.Get(s);
-  if (sh == nullptr) return;  // shrink retired it mid-query; tagged already
+  if (sh != nullptr) MergeShardAnswer(s, *sh, std::move(answer), result);
+}
+
+void ShardedSetSimilarityIndex::MergeShardAnswer(
+    std::uint32_t s, const Shard& shard, QueryResult&& answer,
+    ShardedQueryResult* result) const {
   for (SetId local : answer.sids) {
-    const SetId g = sh->global_of_local.Get(local);
+    const SetId g = shard.global_of_local.Get(local);
     // kInvalidSetId cannot surface for a local the index returned (the
     // mapping publishes before the index entry); guard anyway so a logic
     // bug degrades to a dropped row, never an invalid sid.
@@ -460,6 +511,11 @@ Status ShardedSetSimilarityIndex::GatherShardFailure(
 }
 
 void ShardedSetSimilarityIndex::FinishGather(ShardedQueryResult* result) const {
+  FinishGather(rebalance_seq_.load(std::memory_order_seq_cst), result);
+}
+
+void ShardedSetSimilarityIndex::FinishGather(std::uint64_t planned_seq,
+                                             ShardedQueryResult* result) const {
   // Shard answers are disjoint at rest, but a sid whose move commits
   // mid-scatter can be gathered from both its old and new shard — so the
   // merge sorts *and* dedups. Sorting also erases any dependence on the
@@ -467,10 +523,12 @@ void ShardedSetSimilarityIndex::FinishGather(ShardedQueryResult* result) const {
   std::sort(result->sids.begin(), result->sids.end());
   result->sids.erase(std::unique(result->sids.begin(), result->sids.end()),
                      result->sids.end());
-  if (rebalance_active_.load(std::memory_order_seq_cst)) {
-    // A move's commit window can hide the moving sid from this scatter:
-    // conservative partial tagging, same contract as a degraded shard —
-    // a verified subset, never a wrong member.
+  if (planned_seq % 2 == 1 ||
+      rebalance_seq_.load(std::memory_order_seq_cst) != planned_seq) {
+    // A rebalance was active at the plan, or began or finished since: a
+    // move can have hidden a sid from this scatter. Conservative partial
+    // tagging, same contract as a degraded shard — a verified subset,
+    // never a wrong member.
     result->rebalancing = true;
     result->partial = true;
   }
@@ -481,53 +539,15 @@ Result<ShardedQueryResult> ShardedSetSimilarityIndex::Query(
     const ElementSet& query, double sigma1, double sigma2) const {
   SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
   obs::TraceSpan span("sharded_query");
-  std::optional<exec::EpochGuard> guard;
-  if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
-  const std::uint32_t n = num_shards();
-  span.Tag("shards", static_cast<std::uint64_t>(n));
-  ShardedQueryResult result;
-  if (rebalance_active_.load(std::memory_order_seq_cst)) {
-    result.rebalancing = true;
-    result.partial = true;
-  }
-  result.per_shard.resize(n);
-  result.shard_status.assign(n, Status::OK());
-  for (std::uint32_t s = 0; s < n; ++s) {
-    // Load the slot exactly once: a concurrent shrink can null it between
-    // a degraded check and the probe (the epoch guard defers the *free*,
-    // not the null store), so every dereference below goes through `sh`.
-    const Shard* sh = shards_.Get(s);
-    if (sh == nullptr) {
-      if (s >= num_shards()) {
-        // Shrink-retired mid-query: the shard was verified empty before
-        // its slot was nulled, so skipping it drops nothing — but the
-        // overlap means a moved sid may be hidden from this scatter, so
-        // tag conservatively (same contract as an active rebalance).
-        result.rebalancing = true;
-        result.partial = true;
-        continue;
-      }
-      SSR_RETURN_IF_ERROR(GatherShardFailure(
-          s, Status::Unavailable("shard administratively degraded"), &result));
-      continue;
-    }
-    if (sh->index == nullptr ||
-        sh->degraded.load(std::memory_order_relaxed)) {
-      SSR_RETURN_IF_ERROR(GatherShardFailure(
-          s, Status::Unavailable("shard administratively degraded"), &result));
-      continue;
-    }
-    auto answer = sh->index->Query(query, sigma1, sigma2);
-    if (!answer.ok()) {
-      SSR_RETURN_IF_ERROR(GatherShardFailure(s, answer.status(), &result));
-      continue;
-    }
-    GatherShardAnswer(s, std::move(answer).value(), &result);
-  }
-  FinishGather(&result);
-  span.Tag("results", static_cast<std::uint64_t>(result.sids.size()));
-  if (result.partial) span.Tag("partial", std::uint64_t{1});
-  if (result.rebalancing) span.Tag("rebalancing", std::uint64_t{1});
+  const ScatterPlan plan(*this);
+  span.Tag("shards", static_cast<std::uint64_t>(plan.num_shards()));
+  auto result = Gather(plan, [&](std::uint32_t s) {
+    return plan.index(s)->Query(query, sigma1, sigma2);
+  });
+  if (!result.ok()) return result;
+  span.Tag("results", static_cast<std::uint64_t>(result->sids.size()));
+  if (result->partial) span.Tag("partial", std::uint64_t{1});
+  if (result->rebalancing) span.Tag("rebalancing", std::uint64_t{1});
   return result;
 }
 
@@ -555,7 +575,7 @@ Status ShardedSetSimilarityIndex::BeginRebalance(std::uint32_t new_num_shards) {
 Status ShardedSetSimilarityIndex::BeginRebalanceImpl(
     std::uint32_t new_num_shards) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (rebalance_active_.load(std::memory_order_seq_cst)) {
+  if (rebalancing()) {
     return Status::FailedPrecondition("a rebalance is already active");
   }
   const std::uint32_t target = new_num_shards == 0 ? 1 : new_num_shards;
@@ -621,13 +641,13 @@ Status ShardedSetSimilarityIndex::BeginRebalanceImpl(
   for (const WalWriter* wal : shard_wals_) any_wal = any_wal || wal != nullptr;
   rebalance_checkpointed_ = !any_wal;
   rebalance_wedged_ = false;
-  rebalance_active_.store(true, std::memory_order_seq_cst);
+  rebalance_seq_.fetch_add(1, std::memory_order_seq_cst);  // odd: active
   return Status::OK();
 }
 
 Status ShardedSetSimilarityIndex::MarkRebalanceCheckpointed() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!rebalance_active_.load(std::memory_order_seq_cst)) {
+  if (!rebalancing()) {
     return Status::FailedPrecondition("no rebalance is active");
   }
   rebalance_checkpointed_ = true;
@@ -684,7 +704,7 @@ Result<bool> ShardedSetSimilarityIndex::ExecuteMoveLocked(
 Result<std::size_t> ShardedSetSimilarityIndex::StepRebalance(
     std::size_t max_moves) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!rebalance_active_.load(std::memory_order_seq_cst)) {
+  if (!rebalancing()) {
     return Status::FailedPrecondition("no rebalance is active");
   }
   if (rebalance_wedged_) {
@@ -725,7 +745,7 @@ Result<std::size_t> ShardedSetSimilarityIndex::StepRebalance(
 
 Status ShardedSetSimilarityIndex::FinishRebalance() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!rebalance_active_.load(std::memory_order_seq_cst)) {
+  if (!rebalancing()) {
     return Status::FailedPrecondition("no rebalance is active");
   }
   if (rebalance_wedged_) {
@@ -753,11 +773,10 @@ Status ShardedSetSimilarityIndex::FinishRebalance() {
       }
     }
     // Adopt the shrunk topology, then retire the husks. Count first, slots
-    // after: a reader that loaded the old count just before the store may
-    // find a nulled slot, and shard_retired() classifies exactly that case
-    // (null at/past the new count) as shrink-retired — provably empty, so
-    // the reader tags rebalancing+partial instead of tripping the failure
-    // policy.
+    // after, and the sequence-number bump below last: a scatter that loaded
+    // the old count and then finds a nulled slot read its sequence number
+    // before this bump, so its gather tags the answer, and the slot —
+    // provably empty — is skipped instead of tripping the failure policy.
     num_shards_.store(target, std::memory_order_seq_cst);
     map_.SetNumShards(target);
     for (std::uint32_t s = target; s < current; ++s) {
@@ -781,7 +800,7 @@ Status ShardedSetSimilarityIndex::FinishRebalance() {
       }
     }
   }
-  rebalance_active_.store(false, std::memory_order_seq_cst);
+  rebalance_seq_.fetch_add(1, std::memory_order_seq_cst);  // even: idle
   pending_moves_.clear();
   next_move_ = 0;
   rebalance_target_ = 0;
@@ -805,7 +824,7 @@ Status ShardedSetSimilarityIndex::RebalanceTo(std::uint32_t new_num_shards) {
 RebalanceStatus ShardedSetSimilarityIndex::rebalance_status() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RebalanceStatus status;
-  status.active = rebalance_active_.load(std::memory_order_seq_cst);
+  status.active = rebalancing();
   status.target_shards = rebalance_target_;
   status.moves_planned = pending_moves_.size();
   status.moves_done = moves_done_;

@@ -14,6 +14,12 @@
 // collection — the property the differential harness (tests/difftest/)
 // pins down across P, churn, and degraded shards.
 //
+// Scatter/gather: every sharded query path — the serial Query here, and
+// QueryRouter's Query and RunBatch — takes one ScatterPlan when it starts
+// (the rebalance sequence number, the shard count, and each shard slot,
+// each loaded once) and merges through one Gather over the Shard objects
+// that plan loaded. The paths differ only in how they run one shard.
+//
 // Live mutability (see DESIGN.md §16): after EnableConcurrentWrites,
 // Insert/Erase (serialized on an internal writer mutex) run concurrently
 // with any number of Query/QueryRouter readers. Reader-visible state — the
@@ -27,10 +33,13 @@
 // WAL-logged — kMoveOut to the source log, then kMoveIn, the commit point,
 // to the destination log — so a crash mid-rebalance recovers each sid
 // fully old or fully new, never split), and FinishRebalance retires the
-// old topology. While a rebalance is active every answer is tagged
-// `rebalancing` (and conservatively `partial`, reusing the degraded-shard
-// tagging): a move's commit window can hide the moving sid from a
-// concurrent scatter, so in-flight answers are partial-but-never-wrong.
+// old topology. Every answer whose scatter overlapped any part of a
+// rebalance — even one that began and finished inside the scatter — is
+// tagged `rebalancing` (and conservatively `partial`, reusing the
+// degraded-shard tagging): a move can hide the moving sid from a concurrent
+// scatter, so overlapped answers are partial-but-never-wrong. Begin and
+// Finish each bump a rebalance sequence number (odd while one is active);
+// the gather tags when the number differs from the plan's or was odd.
 //
 // Failure semantics: a shard can be administratively degraded (operator
 // action or a salvage load that lost it). Under kPartialResults the router
@@ -105,7 +114,7 @@ struct ShardedIndexOptions {
 struct ShardedQueryResult {
   std::vector<SetId> sids;  // verified global sids, ascending
   /// Stats merged deterministically in shard order: counters and I/O sum
-  /// across shards; plan/lo/up come from the first answering shard (all
+  /// across shards; plan/lo/up come from the last answering shard (all
   /// shards share the layout, so their plans agree); degraded is the OR.
   QueryStats stats;
   std::vector<QueryStats> per_shard;  // by shard; default-initialized if dead
@@ -143,6 +152,8 @@ struct RebalanceStatus {
 };
 
 class ShardedSetSimilarityIndex {
+  struct Shard;  // one shard's store, index and local -> global table
+
  public:
   /// Partitions `sets` (global sid = position) across the shards and builds
   /// every shard's index. The per-shard builds use options.index.num_threads
@@ -171,13 +182,59 @@ class ShardedSetSimilarityIndex {
   /// SetSimilarityIndex::Erase. Same thread-safety as Insert.
   Status Erase(SetId sid);
 
-  /// Serial reference scatter/gather: queries shards 0..P-1 in order on the
-  /// calling thread and merges. Identical answers (and failure semantics)
-  /// to QueryRouter::Query — the differential harness holds the two equal.
-  /// A malformed query (ValidateRangeQuery) fails InvalidArgument before
-  /// any shard is consulted. Each shard signs the query itself.
+  /// Serial reference scatter/gather: queries the planned shards in order
+  /// on the calling thread, each inside the gather. Identical answers (and
+  /// failure semantics) to QueryRouter::Query — the differential harness
+  /// holds the two equal. A malformed query (ValidateRangeQuery) fails
+  /// InvalidArgument before any shard is consulted. Each shard signs the
+  /// query itself.
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2) const;
+
+  /// One scatter's view of the topology. Construction pins an epoch (after
+  /// EnableConcurrentWrites) and then loads, each exactly once, the
+  /// rebalance sequence number, the shard count, and every shard slot, and
+  /// records which shards can answer. Gather merges through the same Shard
+  /// objects, so a scatter never mixes two topologies. Holds the pin until
+  /// destroyed: build it on the stack of the thread that scatters.
+  class ScatterPlan {
+   public:
+    explicit ScatterPlan(const ShardedSetSimilarityIndex& index);
+    ScatterPlan(const ScatterPlan&) = delete;
+    ScatterPlan& operator=(const ScatterPlan&) = delete;
+
+    std::uint32_t num_shards() const {
+      return static_cast<std::uint32_t>(slots_.size());
+    }
+    /// Shard s's index when it answers this scatter; null when the shard is
+    /// degraded or dead (Gather fails it under the policy) or its slot was
+    /// retired by a shrink (Gather skips it).
+    const SetSimilarityIndex* index(std::uint32_t s) const {
+      return slots_[s].index;
+    }
+
+   private:
+    friend class ShardedSetSimilarityIndex;
+    struct Slot {
+      const Shard* shard = nullptr;               // null: shrink-retired
+      const SetSimilarityIndex* index = nullptr;  // null: cannot answer
+    };
+    std::optional<exec::EpochGuard> pin_;
+    std::uint64_t rebalance_seq_ = 0;
+    std::vector<Slot> slots_;
+  };
+
+  /// Gathers one scatter in shard order: for each shard the plan found
+  /// answering, merges what `answer_of(s)` returns (called once per such
+  /// shard, in order — a path may run the shard right there); records a
+  /// failed answer, or a shard that cannot answer, under the failure policy
+  /// (kFailFast returns Unavailable at the first one); skips shrink-retired
+  /// slots. Then sorts and dedups the merged sids and tags the answer
+  /// `rebalancing` + `partial` when any rebalance overlapped the scatter.
+  Result<ShardedQueryResult> Gather(
+      const ScatterPlan& plan,
+      const std::function<Result<QueryResult>(std::uint32_t)>& answer_of)
+      const;
 
   /// The embedding every shard signs with. Shards agree on EmbeddingParams:
   /// Build gives them one, Load rejects skew (NotSupported), and grown
@@ -199,10 +256,11 @@ class ShardedSetSimilarityIndex {
   const ShardedBuildStats& build_stats() const { return build_stats_; }
   const std::string& metrics_scope() const { return base_scope_; }
 
-  /// Per-shard access (the router fans out over these). A dead shard (lost
-  /// in a salvage load) has null store/index and degraded == true. Concurrent
-  /// callers hold an exec::EpochGuard across the use of the returned
-  /// pointers (shard objects are epoch-retired when a shrink completes).
+  /// Per-shard access. A dead shard (lost in a salvage load) has null
+  /// store/index and degraded == true. Concurrent callers hold an
+  /// exec::EpochGuard across the use of the returned pointers (shard
+  /// objects are epoch-retired when a shrink completes). Query paths use a
+  /// ScatterPlan instead, which loads each slot once.
   const SetStore* shard_store(std::uint32_t s) const {
     const Shard* sh = shards_.Get(s);
     return sh == nullptr ? nullptr : sh->store.get();
@@ -242,15 +300,6 @@ class ShardedSetSimilarityIndex {
     const Shard* sh = shards_.Get(s);
     return sh == nullptr || sh->index == nullptr ||
            sh->degraded.load(std::memory_order_relaxed);
-  }
-  /// True when slot `s` was nulled by a completed shrink: the shard was
-  /// verified empty before FinishRebalance retired it, so a query that
-  /// loaded the pre-shrink count skips it silently (a retired slot is not
-  /// a failed shard — it must not trip ShardFailurePolicy::kFailFast).
-  /// Slots below the live count are published before the count, so a null
-  /// slot at or past the current count is the only way this reads true.
-  bool shard_retired(std::uint32_t s) const {
-    return shards_.Get(s) == nullptr && s >= num_shards();
   }
 
   ShardFailurePolicy on_shard_failure() const {
@@ -317,7 +366,7 @@ class ShardedSetSimilarityIndex {
 
   RebalanceStatus rebalance_status() const;
   bool rebalancing() const {
-    return rebalance_active_.load(std::memory_order_seq_cst);
+    return rebalance_seq_.load(std::memory_order_seq_cst) % 2 == 1;
   }
 
   /// Recovery-side replay of a kMoveIn record from shard `dest`'s WAL:
@@ -327,18 +376,13 @@ class ShardedSetSimilarityIndex {
   Status ApplyMoveIn(std::uint32_t dest, SetId sid, std::uint32_t from_shard,
                      const ElementSet& set);
 
-  /// Translates one shard's verified local answer into `result`: maps local
-  /// sids to global, appends them, and merges the per-shard stats in shard
-  /// order. Shared by the serial Query and the router's gather.
+  /// For callers that gather by hand (Gather does both steps itself):
+  /// merges shard `s`'s verified local answer into `result` through the
+  /// shard's current slot — local sids mapped to global and appended, stats
+  /// merged — and FinishGather sorts and dedups the sids, settles the
+  /// aggregate stats, and tags the answer when a rebalance is active now.
   void GatherShardAnswer(std::uint32_t s, QueryResult&& answer,
                          ShardedQueryResult* result) const;
-  /// Records shard `s` as unanswered under the failure policy. Returns the
-  /// Unavailable status to propagate when the policy is kFailFast.
-  Status GatherShardFailure(std::uint32_t s, Status status,
-                            ShardedQueryResult* result) const;
-  /// Finalizes a gathered result: sorts + dedups the merged global sids
-  /// (a mid-move sid can surface from both its old and new shard) and
-  /// settles the aggregate stats and rebalance tagging.
   void FinishGather(ShardedQueryResult* result) const;
 
   /// Persists the whole sharded index as one checksummed v2 snapshot: the
@@ -397,6 +441,22 @@ class ShardedSetSimilarityIndex {
   IndexOptions ShardIndexOptions(std::uint32_t s) const;
 
   Shard& ShardAt(std::uint32_t s) const { return *shards_.Get(s); }
+
+  /// Merges shard `s`'s answer into `result` through `shard`, the Shard
+  /// object whose index produced it.
+  void MergeShardAnswer(std::uint32_t s, const Shard& shard,
+                        QueryResult&& answer,
+                        ShardedQueryResult* result) const;
+  /// Records shard `s` as unanswered under the failure policy. Returns the
+  /// Unavailable status to propagate when the policy is kFailFast.
+  Status GatherShardFailure(std::uint32_t s, Status status,
+                            ShardedQueryResult* result) const;
+  /// Sorts + dedups the merged global sids (a mid-move sid can surface from
+  /// both its old and new shard), settles the aggregate stats, and tags the
+  /// answer when the rebalance sequence number now differs from
+  /// `planned_seq` or `planned_seq` is odd.
+  void FinishGather(std::uint64_t planned_seq,
+                    ShardedQueryResult* result) const;
 
   /// BeginRebalance minus the checkpoint hook: plans the move list and
   /// publishes the target topology under the writer lock. The hook runs in
@@ -458,9 +518,13 @@ class ShardedSetSimilarityIndex {
   mutable std::mutex writer_mu_;
   exec::EpochManager* epoch_manager_ = nullptr;  // not owned; set once
 
-  // Rebalance state (writer_mu_ except the active flag, which readers tag
-  // answers from).
-  std::atomic<bool> rebalance_active_{false};
+  // Rebalance state (writer_mu_ except the sequence number, which readers
+  // tag answers from).
+  /// Bumped by BeginRebalance and again by FinishRebalance, so it is odd
+  /// while a rebalance is active. Finish bumps it after it stores the
+  /// shrunk count and nulls the retired slots; Begin after it publishes
+  /// grown ones.
+  std::atomic<std::uint64_t> rebalance_seq_{0};
   std::uint32_t rebalance_target_ = 0;
   std::vector<ShardMove> pending_moves_;
   std::size_t next_move_ = 0;

@@ -136,6 +136,17 @@ TEST(ExpositionTest, DetectsHistogramShapeViolations) {
                    .empty());
 }
 
+TEST(ExpositionTest, DetectsAHistogramWithNoBuckets) {
+  // _sum and _count alone are no histogram family: every TYPE'd histogram
+  // needs its _bucket samples, whatever else it renders.
+  const auto issues = ValidateExposition("# TYPE h histogram\n"
+                                         "h_sum 1\nh_count 3\n");
+  ASSERT_FALSE(issues.empty());
+  EXPECT_NE(FormatIssues(issues).find("no _bucket samples"),
+            std::string::npos);
+  EXPECT_FALSE(ValidateExposition("# TYPE h histogram\n").empty());
+}
+
 TEST(ExpositionTest, DetectsLineLevelViolations) {
   // A sample before its TYPE.
   EXPECT_FALSE(ValidateExposition("x_total 1\n").empty());

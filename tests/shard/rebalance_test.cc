@@ -1,8 +1,9 @@
 // Online shard rebalance: the move state machine (BeginRebalance /
 // StepRebalance / FinishRebalance) under grow and shrink, the
 // mid-rebalance answer contract (tagged `rebalancing` + `partial`, never
-// wrong — pinned by test, both single-threaded between moves and with
-// concurrent reader threads), writer routing during a drain, and the
+// wrong — pinned by test, single-threaded between moves, with concurrent
+// reader threads, and with a whole rebalance inside one held scatter on
+// each query path), writer routing during a drain, and the
 // crash-during-rebalance matrix: kill the write path at every move-record
 // boundary, recover from (post-Begin checkpoint, captured per-shard WALs),
 // and assert every sid's placement is fully old or fully new — never
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -100,6 +102,13 @@ std::vector<SetId> AllSids(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) sids[i] = static_cast<SetId>(i);
   return sids;
 }
+
+#ifdef SSR_NO_FAULT_INJECTION
+#define SKIP_WITHOUT_INJECTION() \
+  GTEST_SKIP() << "built with SSR_NO_FAULT_INJECTION"
+#else
+#define SKIP_WITHOUT_INJECTION() (void)0
+#endif
 
 // ---------------------------------------------------------------------------
 // Offline equivalence: RebalanceTo lands on the same placement and the same
@@ -320,6 +329,9 @@ TEST_F(RebalanceTest, ConcurrentReadersDuringRebalanceNeverSeeAWrongAnswer) {
             ASSERT_TRUE(a.partial)
                 << "rebalancing answers must be tagged partial too";
             tagged_answers.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            // Untagged means no rebalance overlapped the scatter: exact.
+            ASSERT_EQ(a.sids, truth) << "an untagged answer is missing sids";
           }
         }
       }
@@ -477,6 +489,76 @@ TEST_F(RebalanceTest, ShrinkRetiredSlotsDoNotTripFailFastReaders) {
   EXPECT_EQ(index.num_shards(), 1u);
 }
 
+// A whole rebalance can begin and finish inside one scatter: the query's
+// first filter probe is held for 400 ms while RebalanceTo(5) grows a
+// 2-shard index. The scatter read the 2-shard topology, so sids moved to
+// the new shards can be missing from its answer, and it must come back
+// tagged even though no rebalance is active by the time it gathers.
+void CheckRebalanceInsideOneScatterIsTagged(
+    const std::function<Result<ShardedQueryResult>(
+        ShardedSetSimilarityIndex&, const ElementSet&)>& run) {
+  const SetCollection sets = MakeSets(80, 7321);
+  exec::EpochManager em;
+  ShardedSetSimilarityIndex index = BuildAt(sets, 2);
+  index.EnableConcurrentWrites(&em);
+  const ElementSet& probe = sets[3];
+  auto truth = index.Query(probe, 0.0, 0.7);
+  ASSERT_TRUE(truth.ok());
+  ASSERT_GT(truth->stats.bucket_accesses, 0u) << "the range must probe";
+
+  auto& fi = fault::FaultInjector::Default();
+  fi.Enable(fault::SeedFromEnv(7));
+  fault::FaultSchedule hold = fault::FaultSchedule::Once();
+  hold.latency_micros = 400000.0;
+  fi.Arm("index/probe_fi", fault::FaultKind::kLatency, hold);
+  Result<ShardedQueryResult> answer = Status::Internal("not run");
+  std::thread reader([&] { answer = run(index, probe); });
+  while (fi.fires("index/probe_fi") == 0) std::this_thread::yield();
+  const Status rebalanced = index.RebalanceTo(5);
+  reader.join();
+  fi.Reset();
+  ASSERT_TRUE(rebalanced.ok()) << rebalanced.ToString();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->rebalancing) << "a rebalance overlapped the scatter";
+  EXPECT_TRUE(answer->partial);
+  EXPECT_TRUE(std::includes(truth->sids.begin(), truth->sids.end(),
+                            answer->sids.begin(), answer->sids.end()));
+  em.Quiesce();
+}
+
+TEST_F(RebalanceTest, SerialQueryOverlappingAWholeRebalanceIsTagged) {
+  SKIP_WITHOUT_INJECTION();
+  CheckRebalanceInsideOneScatterIsTagged(
+      [](ShardedSetSimilarityIndex& index, const ElementSet& q) {
+        return index.Query(q, 0.0, 0.7);
+      });
+}
+
+TEST_F(RebalanceTest, RoutedQueryOverlappingAWholeRebalanceIsTagged) {
+  SKIP_WITHOUT_INJECTION();
+  CheckRebalanceInsideOneScatterIsTagged(
+      [](ShardedSetSimilarityIndex& index, const ElementSet& q) {
+        QueryRouterOptions router_options;
+        router_options.num_threads = 1;
+        QueryRouter router(index, router_options);
+        return router.Query(q, 0.0, 0.7);
+      });
+}
+
+TEST_F(RebalanceTest, RoutedBatchOverlappingAWholeRebalanceIsTagged) {
+  SKIP_WITHOUT_INJECTION();
+  CheckRebalanceInsideOneScatterIsTagged(
+      [](ShardedSetSimilarityIndex& index,
+         const ElementSet& q) -> Result<ShardedQueryResult> {
+        QueryRouterOptions router_options;
+        router_options.num_threads = 1;
+        QueryRouter router(index, router_options);
+        RoutedBatchResult batch = router.RunBatch({{q, 0.0, 0.7}});
+        if (!batch.statuses[0].ok()) return batch.statuses[0];
+        return std::move(batch.results[0]);
+      });
+}
+
 // ---------------------------------------------------------------------------
 // Writers during a rebalance: fresh inserts route under the target
 // topology, and erasing a planned-but-unmoved sid skips its move.
@@ -555,13 +637,6 @@ TEST_F(RebalanceTest, ErasedSidsSkipTheirPlannedMove) {
 // per-sid placement is fully old or fully new, never split; then re-run
 // the rebalance and assert it converges to the target placement.
 // ---------------------------------------------------------------------------
-
-#ifdef SSR_NO_FAULT_INJECTION
-#define SKIP_WITHOUT_INJECTION() \
-  GTEST_SKIP() << "built with SSR_NO_FAULT_INJECTION"
-#else
-#define SKIP_WITHOUT_INJECTION() (void)0
-#endif
 
 void RunCrashMatrix(std::uint32_t from, std::uint32_t to) {
   const SetCollection sets = MakeSets(36, 0xc4a5 + from * 17 + to);
