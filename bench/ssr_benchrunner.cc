@@ -51,8 +51,6 @@
 #include "exec/epoch.h"
 #include "hamming/embedding.h"
 #include "minhash/family.h"
-#include "minhash/min_hasher.h"
-#include "minhash/packed.h"
 #include "obs/chrome_trace.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -126,10 +124,10 @@ int RunMicroSuite(bool quick, RunReport* report) {
   return 0;
 }
 
-/// Signature engine v2 ablation: per-family sign cost (single and batch)
-/// at the paper's k = 100 on 250-element sets, the packed vs unpacked
-/// agreement kernels, and a fig7-style accuracy point per family x b —
-/// so a family's speed is never quoted without its recall/precision.
+/// Signature engine v2 ablation: per-family sign cost at the paper's
+/// k = 100 on 250- and 2000-element sets, and a fig7-style accuracy point
+/// per family x b — so a family's speed is never quoted without its
+/// recall/precision.
 int RunSigningSuite(bool quick, RunReport* report) {
   bench::PrintHeader("suite: signing (signature engine v2 ablation)");
   Rng rng(0x516e);
@@ -138,8 +136,6 @@ int RunSigningSuite(bool quick, RunReport* report) {
   // ~O(n + k log k), so the families separate as sets grow. 2000 elements
   // is the web-session long tail the paper's workload generator produces.
   const ElementSet big = RandomSet(rng, 2000, 1 << 21);
-  std::vector<ElementSet> batch;
-  for (int i = 0; i < 64; ++i) batch.push_back(RandomSet(rng, 250, 1 << 20));
 
   double classic_large_ns = 0.0;
   for (MinHashFamilyKind family : kAllMinHashFamilies) {
@@ -172,49 +168,7 @@ int RunSigningSuite(bool quick, RunReport* report) {
                   ("signing_" + name + "_speedup").c_str(),
                   classic_large_ns / large_ns);
     }
-
-    // The batch entry point the parallel builder's sign phase feeds:
-    // ns per *set*, amortizing dispatch across a contiguous run.
-    std::vector<Signature> outs(batch.size());
-    const std::size_t reps = quick ? 10 : 100;
-    Stopwatch watch;
-    for (std::size_t r = 0; r < reps; ++r) {
-      embedding->SignBatch(batch.data(), batch.size(), outs.data());
-    }
-    const double batch_ns =
-        watch.ElapsedSeconds() * 1e9 /
-        static_cast<double>(reps * batch.size());
-    std::printf("  %-28s %12.1f ns/set (%zu sets x %zu reps)\n",
-                ("signing_" + name + "_batch").c_str(), batch_ns,
-                batch.size(), reps);
-    report->AddScalar("signing_" + name + "_batch_sign_ns", batch_ns);
     (void)sink;
-  }
-
-  // Packed (SWAR + popcount) vs unpacked (value-by-value) signature
-  // agreement at k = 100, b = 8 — the estimator/SFI compare kernel.
-  {
-    MinHashParams mp;
-    mp.num_hashes = 100;
-    mp.value_bits = 8;
-    MinHasher hasher(mp);
-    const Signature sa = hasher.Sign(one);
-    const Signature sb = hasher.Sign(batch[0]);
-    const PackedSignature pa = PackedSignature::Pack(sa, mp.value_bits);
-    const PackedSignature pb = PackedSignature::Pack(sb, mp.value_bits);
-    volatile double agree = 0.0;
-    report->AddScalar(
-        "signing_unpacked_agreement_ns",
-        MicroLoop("signing_unpacked_agreement", quick ? 100000 : 1000000,
-                  [&](std::size_t) {
-                    agree = agree + sa.AgreementFraction(sb);
-                  }));
-    report->AddScalar(
-        "signing_packed_agreement_ns",
-        MicroLoop("signing_packed_agreement", quick ? 100000 : 1000000,
-                  [&](std::size_t) {
-                    agree = agree + pa.AgreementFraction(pb);
-                  }));
   }
 
   // Accuracy ablation: the fig7-style bucketed sweep per family (and per b
@@ -552,13 +506,11 @@ int RunQueryThroughputSuite(bool quick, RunReport* report) {
   return 0;
 }
 
-/// Sharded scatter/gather throughput at P in {1, 2, 4} shards, routed over
-/// a 4-worker pool. Reports the modeled routed QPS (slowest shard's batch
-/// makespan plus the measured merge), the speedup over P=1, and the merge
-/// overhead — merge seconds as a fraction of the routed makespan, the price
-/// of the deterministic shard-order gather (lower is better). Every routed
-/// answer is cross-checked against an unsharded index; a divergence fails
-/// the run, so the trajectory never charts a wrong-answer speedup.
+/// Sharded scatter/gather throughput at P in {1, 2, 4} shards, each query
+/// routed through a 4-worker QueryRouter. Reports the wall-clock routed
+/// QPS and its speedup over P=1. Every routed answer is cross-checked
+/// against an unsharded index; a divergence fails the run, so the
+/// trajectory never charts a wrong-answer speedup.
 int RunShardScalingSuite(bool quick, RunReport* report) {
   bench::PrintHeader("suite: shard_scaling (pinned params)");
   Rng rng(0x5eed06);
@@ -625,13 +577,18 @@ int RunShardScalingSuite(bool quick, RunReport* report) {
     shard::QueryRouterOptions router_options;
     router_options.num_threads = 4;
     shard::QueryRouter router(*index, router_options);
-    const shard::RoutedBatchResult result = router.RunBatch(batch);
-    if (result.failed != 0) {
-      std::fprintf(stderr, "%zu routed queries failed\n", result.failed);
-      return 1;
-    }
+    double wall_seconds = 0.0;  // the routed calls alone, not the check
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (result.results[i].sids != ref_result.results[i].sids) {
+      Stopwatch wall;
+      auto routed = router.Query(batch[i].query, batch[i].sigma1,
+                                 batch[i].sigma2);
+      wall_seconds += wall.ElapsedSeconds();
+      if (!routed.ok()) {
+        std::fprintf(stderr, "routed query %zu failed at P=%u: %s\n", i,
+                     shards, routed.status().ToString().c_str());
+        return 1;
+      }
+      if (routed->sids != ref_result.results[i].sids) {
         std::fprintf(stderr,
                      "routed answer diverged from the unsharded index at "
                      "P=%u, query %zu\n",
@@ -639,20 +596,15 @@ int RunShardScalingSuite(bool quick, RunReport* report) {
         return 1;
       }
     }
-    if (shards == 1) p1_qps = result.modeled_qps;
-    const double speedup =
-        p1_qps > 0.0 ? result.modeled_qps / p1_qps : 0.0;
-    const double merge_overhead =
-        result.modeled_makespan_seconds > 0.0
-            ? result.merge_seconds / result.modeled_makespan_seconds
-            : 0.0;
-    std::printf("  P=%u: modeled %.0f qps (makespan %.3f s, merge %.4f s, "
-                "overhead %.4f)  speedup %.2fx\n",
-                shards, result.modeled_qps, result.modeled_makespan_seconds,
-                result.merge_seconds, merge_overhead, speedup);
+    const double qps = wall_seconds > 0.0
+                           ? static_cast<double>(batch.size()) / wall_seconds
+                           : 0.0;
+    if (shards == 1) p1_qps = qps;
+    const double speedup = p1_qps > 0.0 ? qps / p1_qps : 0.0;
+    std::printf("  P=%u: %.0f qps (wall %.3f s)  speedup %.2fx\n", shards,
+                qps, wall_seconds, speedup);
     const std::string prefix = "shard_scaling_p" + std::to_string(shards);
-    report->AddScalar(prefix + "_modeled_qps", result.modeled_qps);
-    report->AddScalar(prefix + "_merge_overhead", merge_overhead);
+    report->AddScalar(prefix + "_qps", qps);
     if (shards > 1) {
       report->AddScalar(prefix + "_speedup", speedup);
     }

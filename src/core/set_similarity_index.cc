@@ -262,12 +262,10 @@ Status SetSimilarityIndex::BuildFilterIndices() {
     }
   }
 
-  // Phase 1 (parallel): sign every set, block-batched through
-  // Embedding::SignBatch so the family kernels amortize dispatch over
-  // contiguous element runs. Each worker owns whole blocks and writes
-  // disjoint sid-indexed slots; SignBatch is const and reentrant, and each
-  // signature depends only on its own set, so the result is bit-identical
-  // to the serial build for any thread count.
+  // Phase 1 (parallel): sign every set, in blocks of 32 sets. Each worker
+  // owns whole blocks and writes disjoint sid-indexed slots; Sign is const
+  // and reentrant, and each signature depends only on its own set, so the
+  // result is bit-identical to the serial build for any thread count.
   double parallel_wall = 0.0;
   {
     obs::TraceSpan span("build/sign");
@@ -279,12 +277,9 @@ Status SetSimilarityIndex::BuildFilterIndices() {
         [&](std::size_t blk, std::size_t /*worker*/) {
           const std::size_t lo = blk * kSignBlock;
           const std::size_t hi = std::min(n, lo + kSignBlock);
-          thread_local std::vector<Signature> block;
-          block.resize(hi - lo);
-          embedding_->SignBatch(&sets[lo], hi - lo, block.data());
           for (std::size_t i = lo; i < hi; ++i) {
             set_sizes_.Set(sids[i], SizeSlot(sets[i].size()));
-            signatures_.Set(sids[i], new Signature(std::move(block[i - lo])));
+            signatures_.Set(sids[i], new Signature(embedding_->Sign(sets[i])));
           }
         });
     const exec::JobStats& job = pool.last_job_stats();

@@ -9,36 +9,16 @@
 namespace ssr {
 namespace exec {
 
-namespace {
-std::vector<SetStore::ReadView> WorkerViews(const SetSimilarityIndex& index,
-                                            std::size_t workers,
-                                            std::size_t pool_pages) {
-  std::vector<SetStore::ReadView> views;
-  views.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    views.emplace_back(index.store(), pool_pages);
-  }
-  return views;
-}
-}  // namespace
-
 BatchExecutor::BatchExecutor(const SetSimilarityIndex& index,
                              BatchExecutorOptions options)
     : index_(&index),
       options_(options),
-      owned_pool_(std::make_unique<ThreadPool>(
-          ResolveThreadCount(options.num_threads))),
-      pool_(owned_pool_.get()),
-      views_(WorkerViews(index, pool_->size(),
-                         options.view_buffer_pool_pages)) {}
-
-BatchExecutor::BatchExecutor(const SetSimilarityIndex& index, ThreadPool& pool,
-                             BatchExecutorOptions options)
-    : index_(&index),
-      options_(options),
-      pool_(&pool),
-      views_(WorkerViews(index, pool.size(),
-                         options.view_buffer_pool_pages)) {}
+      pool_(ResolveThreadCount(options.num_threads)) {
+  views_.reserve(pool_.size());
+  for (std::size_t w = 0; w < pool_.size(); ++w) {
+    views_.emplace_back(index.store());
+  }
+}
 
 BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   static obs::Counter* const batches =
@@ -48,7 +28,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   batches->Increment();
   batch_queries->Add(queries.size());
 
-  const std::size_t workers = pool_->size();
+  const std::size_t workers = pool_.size();
   BatchResult out;
   out.threads_used = workers;
   out.queries = queries.size();
@@ -84,8 +64,8 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
     }
   }
 
-  pool_->ParallelFor(
-      0, queries.size(), options_.grain,
+  pool_.ParallelFor(
+      0, queries.size(), /*grain=*/1,
       [&](std::size_t i, std::size_t worker) {
         const BatchQuery& q = queries[i];
         auto r = index_->QueryThrough(views_[worker], q.query, q.sigma1,
@@ -119,7 +99,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
     target->UpdateGauges();
   }
 
-  const JobStats& job = pool_->last_job_stats();
+  const JobStats& job = pool_.last_job_stats();
   out.wall_seconds = job.wall_seconds;
   out.worker_cpu_seconds = job.worker_cpu_seconds;
   out.worker_io_seconds.resize(workers, 0.0);

@@ -1,12 +1,13 @@
 // Concurrent batch-query executor: fans a batch of (q, [σ1, σ2]) queries
-// across a worker pool against an immutable SetSimilarityIndex. Each worker
-// gets a private SetStore::ReadView (its own buffer pool + I/O cost model),
-// kept for the executor's lifetime, and a private probe-scratch buffer, so
-// the only shared state the workers touch is read-only index structure and
-// relaxed-atomic instruments. Views are built once, in the constructor:
-// a Run registers no metrics.
+// across the executor's own worker pool against an immutable
+// SetSimilarityIndex. Each worker gets a private SetStore::ReadView (its
+// own buffer pool + I/O cost model), kept for the executor's lifetime, and
+// a private probe-scratch buffer, so the only shared state the workers
+// touch is read-only index structure and relaxed-atomic instruments. Views
+// are built once, in the constructor: a Run registers no metrics.
 // Answers are identical to issuing the queries serially through
-// SetSimilarityIndex::Query.
+// SetSimilarityIndex::Query. (A batch over a sharded index is a loop over
+// shard::QueryRouter::Query, which scatters each query on its own pool.)
 //
 // Throughput is reported two ways, consistent with the repo's convention
 // that absolute times come from measured CPU plus the simulated I/O model:
@@ -20,7 +21,6 @@
 #define SSR_EXEC_BATCH_EXECUTOR_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/set_similarity_index.h"
@@ -43,14 +43,6 @@ struct BatchExecutorOptions {
   /// Worker threads: 0 = resolve from SSR_THREADS / hardware concurrency
   /// (ResolveThreadCount), 1 = serial.
   std::size_t num_threads = 0;
-
-  /// Queries per scheduling chunk. 1 (default) gives the best balance for
-  /// heterogeneous queries; raise it only if per-chunk overhead ever shows.
-  std::size_t grain = 1;
-
-  /// Buffer-pool pages per worker view; 0 = the store's configured
-  /// capacity per view.
-  std::size_t view_buffer_pool_pages = 0;
 
   /// Workload capture target (not owned; may be null). Each worker counts
   /// into a private unscoped observer shaped like this one, and Run merges
@@ -96,30 +88,17 @@ class BatchExecutor {
   explicit BatchExecutor(const SetSimilarityIndex& index,
                          BatchExecutorOptions options = {});
 
-  /// Shares a caller-owned pool instead of spawning a private one
-  /// (options.num_threads is then ignored). The sharded query router uses
-  /// this to schedule every shard's batch on one pool. `pool` must outlive
-  /// the executor, and Run must not be issued from inside one of the pool's
-  /// own jobs (ThreadPool is not reentrant).
-  BatchExecutor(const SetSimilarityIndex& index, ThreadPool& pool,
-                BatchExecutorOptions options = {});
-
   /// Executes every query (order-preserving results) and blocks until done.
   /// Issued from one thread at a time. The worker views stay warm across
   /// Runs, so a later Run is charged I/O only for pages its views miss.
   BatchResult Run(const std::vector<BatchQuery>& queries);
 
-  std::size_t num_threads() const { return pool_->size(); }
-
-  /// The index Run queries, and the store its worker views read.
-  const SetSimilarityIndex* index() const { return index_; }
-  const SetStore* store() const { return views_.front().store(); }
+  std::size_t num_threads() const { return pool_.size(); }
 
  private:
   const SetSimilarityIndex* index_;
   BatchExecutorOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // null when sharing
-  ThreadPool* pool_;                        // the pool Run schedules on
+  ThreadPool pool_;
   // One per pool worker, indexed by the ParallelFor worker id.
   std::vector<SetStore::ReadView> views_;
 };

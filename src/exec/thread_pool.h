@@ -1,10 +1,11 @@
 // Execution subsystem: a fixed-size worker pool with a blocking
 // ParallelFor. The rest of the codebase stays single-threaded by default;
-// the two opt-in users are the parallel index build
-// (SetSimilarityIndex::Build with IndexOptions::num_threads != 1) and the
-// concurrent batch-query executor (exec::BatchExecutor).
+// the opt-in users each own a pool: the parallel index build
+// (SetSimilarityIndex::Build with IndexOptions::num_threads != 1), the
+// concurrent batch-query executor (exec::BatchExecutor) and the sharded
+// query router (shard::QueryRouter).
 //
-// Thread-count resolution is uniform across both users: an explicit n > 0
+// Thread-count resolution is uniform across all of them: an explicit n > 0
 // wins, n == 0 consults the SSR_THREADS environment variable and falls back
 // to std::thread::hardware_concurrency(). A resolved count of 1 means no
 // threads are ever spawned and every job runs inline on the caller — the

@@ -46,14 +46,6 @@ class Embedding {
   /// Min-hash signature of a set (step S -> V).
   Signature Sign(const ElementSet& set) const { return hasher_->Sign(set); }
 
-  /// Signs a contiguous run of sets (bit-identical to `count` Sign calls;
-  /// the family kernels amortize dispatch over the run). The serial and
-  /// parallel index builds both sign through this entry point.
-  void SignBatch(const ElementSet* sets, std::size_t count,
-                 Signature* out) const {
-    hasher_->SignBatch(sets, count, out);
-  }
-
   /// Materializes the D-dimensional binary vector of a signature
   /// (step V -> H). D = dimension().
   BitVector EmbedSignature(const Signature& sig) const;

@@ -17,13 +17,6 @@ double SimilarityEstimator::Estimate(const Signature& a,
   return Clamp(corrected, 0.0, 1.0);
 }
 
-double SimilarityEstimator::Estimate(const PackedSignature& a,
-                                     const PackedSignature& b) const {
-  const double raw = RawEstimate(a, b);
-  const double corrected = (raw - collision_p_) / (1.0 - collision_p_);
-  return Clamp(corrected, 0.0, 1.0);
-}
-
 double SimilarityEstimator::ConfidenceHalfWidth(std::size_t k,
                                                 double delta) const {
   if (k == 0) return 1.0;

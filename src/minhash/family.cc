@@ -34,11 +34,6 @@ Result<MinHashFamilyKind> MinHashFamilyFromName(std::string_view name) {
   return Status::InvalidArgument("unknown minhash family name");
 }
 
-void MinHashFamily::SignBatch(const ElementSet* sets, std::size_t count,
-                              std::uint16_t* const* outs) const {
-  for (std::size_t s = 0; s < count; ++s) SignInto(sets[s], outs[s]);
-}
-
 std::uint16_t MinHashFamily::SignOne(const ElementSet& set,
                                      std::size_t i) const {
   thread_local std::vector<std::uint16_t> buf;

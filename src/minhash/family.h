@@ -76,13 +76,6 @@ class MinHashFamily {
   /// empty set yields the all-ones sentinel in every coordinate.
   virtual void SignInto(const ElementSet& set, std::uint16_t* out) const = 0;
 
-  /// Signs `count` sets (a contiguous run) into `count` pre-sized outputs.
-  /// Semantically identical to `count` SignInto calls — batching exists so
-  /// kernels amortize dispatch and keep per-family state hot. The default
-  /// implementation loops SignInto.
-  virtual void SignBatch(const ElementSet* sets, std::size_t count,
-                         std::uint16_t* const* outs) const;
-
   /// The b-bit value of coordinate `i` alone. The classic family computes
   /// just that permutation; the entangled families (SuperMinHash, C-MinHash
   /// share state across coordinates) sign fully into thread-local scratch

@@ -39,20 +39,6 @@ Signature MinHasher::Sign(const ElementSet& set) const {
   return sig;
 }
 
-void MinHasher::SignBatch(const ElementSet* sets, std::size_t count,
-                          Signature* out) const {
-  if (count == 0) return;
-  thread_local std::vector<std::uint16_t*> outs;
-  outs.resize(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    if (out[s].size() != params_.num_hashes) {
-      out[s] = Signature(params_.num_hashes);
-    }
-    outs[s] = &out[s][0];
-  }
-  impl_->SignBatch(sets, count, outs.data());
-}
-
 std::uint16_t MinHasher::SignOne(const ElementSet& set, std::size_t i) const {
   return impl_->SignOne(set, i);
 }

@@ -68,13 +68,6 @@ class MinHasher {
   /// making sim(empty, empty) estimate as 1 and sim(empty, s) typically ~0.
   Signature Sign(const ElementSet& set) const;
 
-  /// Signs a contiguous run of sets into `out[0..count)` (pre-allocated by
-  /// the caller or resized here). Bit-identical to `count` Sign calls; the
-  /// batch shape lets family kernels amortize dispatch overhead, which is
-  /// what the parallel builder's block-signing phase feeds.
-  void SignBatch(const ElementSet* sets, std::size_t count,
-                 Signature* out) const;
-
   /// The b-bit min-hash value of `set` under permutation `i` alone.
   std::uint16_t SignOne(const ElementSet& set, std::size_t i) const;
 

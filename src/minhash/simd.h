@@ -1,4 +1,4 @@
-// CPU-dispatched batch-signing kernels for the min-hash families.
+// CPU-dispatched signing kernels for the min-hash families.
 //
 // Each kernel computes, for one set, the running 64-bit minimum per
 // permutation lane — the inner loop of signing. Two variants exist per

@@ -96,9 +96,6 @@ const MetricHelpEntry kHelpTable[] = {
      "Operations that exhausted their retry budget."},
     {"ssr_retry_recoveries_total",
      "Operations that succeeded after at least one retry."},
-    {"ssr_router_batch_queries_total",
-     "Queries routed as part of a batch."},
-    {"ssr_router_batches_total", "Batches routed across shards."},
     {"ssr_router_partial_answers_total",
      "Routed queries answered with one or more shards missing."},
     {"ssr_router_queries_total", "Queries routed across shards."},

@@ -20,7 +20,6 @@ std::vector<double> RatioBounds() {
 
 ShadowOracleOptions ResolveShadowScope(ShadowOracleOptions options) {
   if (options.sample_every == 0) options.sample_every = 1;
-  if (options.threshold_buckets == 0) options.threshold_buckets = 1;
   if (options.metrics_scope.empty()) {
     options.metrics_scope = MetricsRegistry::Default().NewScope("shadow");
   }
@@ -32,8 +31,8 @@ ShadowOracleOptions ResolveShadowScope(ShadowOracleOptions options) {
 ShadowOracleEstimator::ShadowOracleEstimator(const SetStore& store,
                                              ShadowOracleOptions options)
     : options_(ResolveShadowScope(std::move(options))),
-      view_(store, options_.view_buffer_pool_pages),
-      buckets_(options_.threshold_buckets) {
+      view_(store),
+      buckets_(kThresholdBuckets) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   const std::string& scope = options_.metrics_scope;
   offered_total_ = registry.GetCounter("ssr_shadow_offered_total", scope);
@@ -56,12 +55,11 @@ ShadowOracleEstimator::ShadowOracleEstimator(const SetStore& store,
 }
 
 std::size_t ShadowOracleEstimator::BucketOf(double sigma1) const {
-  const std::size_t buckets = options_.threshold_buckets;
   if (sigma1 <= 0.0) return 0;
-  if (sigma1 >= 1.0) return buckets - 1;
-  return std::min(
-      static_cast<std::size_t>(sigma1 * static_cast<double>(buckets)),
-      buckets - 1);
+  if (sigma1 >= 1.0) return kThresholdBuckets - 1;
+  return std::min(static_cast<std::size_t>(
+                      sigma1 * static_cast<double>(kThresholdBuckets)),
+                  kThresholdBuckets - 1);
 }
 
 bool ShadowOracleEstimator::Offer(const ElementSet& query, double sigma1,

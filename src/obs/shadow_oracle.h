@@ -48,15 +48,6 @@ struct ShadowOracleOptions {
   /// Verify every `sample_every`-th offered query (first one included).
   std::uint64_t sample_every = 64;
 
-  /// Per-bucket resolution: bucket b covers σ1 in [b/buckets, (b+1)/buckets)
-  /// (last bucket closed), aligned with the workload observer's threshold
-  /// bins when the counts match.
-  std::size_t threshold_buckets = 10;
-
-  /// Buffer-pool pages for the oracle's private ReadView; 0 = the store's
-  /// configured capacity.
-  std::size_t view_buffer_pool_pages = 0;
-
   /// Instrument scope; empty allocates a unique "shadow/N" scope.
   std::string metrics_scope;
 };
@@ -92,13 +83,17 @@ class ShadowOracleEstimator {
   ShadowBucketStats overall() const;
   /// Stats for σ1 bucket `b`; zeroed stats for untouched buckets.
   ShadowBucketStats bucket(std::size_t b) const;
-  std::size_t num_buckets() const { return options_.threshold_buckets; }
+  std::size_t num_buckets() const { return kThresholdBuckets; }
   const std::string& metrics_scope() const { return options_.metrics_scope; }
   double sample_rate() const {
     return 1.0 / static_cast<double>(options_.sample_every);
   }
 
  private:
+  /// Per-bucket resolution: bucket b covers σ1 in [b/10, (b+1)/10) (last
+  /// bucket closed).
+  static constexpr std::size_t kThresholdBuckets = 10;
+
   std::size_t BucketOf(double sigma1) const;
 
   ShadowOracleOptions options_;

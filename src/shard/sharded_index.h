@@ -14,11 +14,11 @@
 // collection — the property the differential harness (tests/difftest/)
 // pins down across P, churn, and degraded shards.
 //
-// Scatter/gather: every sharded query path — the serial Query here, and
-// QueryRouter's Query and RunBatch — takes one ScatterPlan when it starts
-// (the rebalance sequence number, the shard count, and each shard slot,
-// each loaded once) and merges through one Gather over the Shard objects
-// that plan loaded. The paths differ only in how they run one shard.
+// Scatter/gather: both sharded query paths — the serial Query here and
+// QueryRouter::Query — take one ScatterPlan when they start (the rebalance
+// sequence number, the shard count, and each shard slot, each loaded once)
+// and merge through one Gather over the Shard objects that plan loaded.
+// The paths differ only in how they run one shard.
 //
 // Live mutability (see DESIGN.md §16): after EnableConcurrentWrites,
 // Insert/Erase (serialized on an internal writer mutex) run concurrently
@@ -129,7 +129,7 @@ struct ShardedQueryResult {
 
 /// Aggregate build statistics. Shards build one after another on the host,
 /// but deploy to separate machines: the modeled makespan is the slowest
-/// shard's modeled build time, the figure the shard_scaling bench charts.
+/// shard's modeled build time.
 struct ShardedBuildStats {
   std::vector<BuildStats> per_shard;
   double wall_seconds = 0.0;

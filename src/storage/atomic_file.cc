@@ -1,6 +1,7 @@
 #include "storage/atomic_file.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include <fcntl.h>
@@ -62,14 +63,19 @@ Status AtomicSave(const std::string& path,
   SSR_RETURN_IF_ERROR(FsyncPath(tmp));
 
   // Phase 3: atomic publish. After rename returns, `path` is the new
-  // snapshot; before, it is untouched. (Syncing the directory entry is
-  // best-effort: a lost rename re-exposes the *old complete* snapshot,
-  // which recovery handles like any pre-checkpoint crash.)
+  // snapshot; before, it is untouched. The rename lives in the parent
+  // directory's entry, which a power cut can lose until that directory is
+  // synced — and a caller truncates its log once the checkpoint is durable,
+  // so a lost rename would leave the old checkpoint beside a log that
+  // starts past its LSN. The save succeeds only once the directory is
+  // synced.
   SSR_RETURN_IF_ERROR(CheckSavePhase());
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Unavailable("rename failed: " + tmp + " -> " + path);
   }
-  return Status::OK();
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  return FsyncPath(parent.empty() ? std::string(".") : parent.string());
 }
 
 }  // namespace ssr

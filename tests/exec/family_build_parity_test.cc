@@ -1,7 +1,7 @@
 // The parallel-build determinism contract, per signing family: every
 // MinHashFamily backend must keep the serial == parallel == sharded digest
-// identity. The block-batched sign phase hands contiguous runs of sets to
-// SignBatch, so this also pins that batching never reorders or perturbs
+// identity. The parallel sign phase hands each worker whole blocks of
+// sets, so this also pins that blocking never reorders or perturbs
 // signatures for any family — on SIMD and scalar builds alike.
 
 #include <memory>

@@ -1,6 +1,6 @@
 // Signature engine v2 family contracts: every pluggable backend must keep
 // the signature shape (k b-bit values, empty-set sentinel), agree with
-// itself across Sign / SignOne / SignBatch, stay deterministic across
+// itself across Sign / SignOne, stay deterministic across
 // instances, and — the property that makes a family usable at all —
 // estimate Jaccard within statistical tolerance of the exact value.
 // The classic family additionally pins digest compatibility: its output is
@@ -83,24 +83,6 @@ TEST(MinHashFamilyTest, SignOneProjectsTheFullSignature) {
         ASSERT_EQ(hasher.SignOne(s, i), sig[i])
             << MinHashFamilyName(kind) << " coordinate " << i;
       }
-    }
-  }
-}
-
-TEST(MinHashFamilyTest, SignBatchMatchesIndividualSigns) {
-  Rng rng(12);
-  for (MinHashFamilyKind kind : kAllMinHashFamilies) {
-    MinHasher hasher(ParamsFor(kind, 100));
-    std::vector<ElementSet> sets;
-    for (int t = 0; t < 17; ++t) sets.push_back(RandomSet(rng));
-    sets.push_back(ElementSet{});  // empty set inside a batch
-    sets.push_back(RandomSet(rng, 3));
-
-    std::vector<Signature> batched(sets.size());
-    hasher.SignBatch(sets.data(), sets.size(), batched.data());
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      ASSERT_EQ(batched[i], hasher.Sign(sets[i]))
-          << MinHashFamilyName(kind) << " set " << i;
     }
   }
 }

@@ -245,8 +245,9 @@ TEST(WorkloadObserverTest, SerialBatchAndShardedCapturesAgree) {
   router_options.num_threads = 4;
   router_options.workload_observer = &shard_obs;
   shard::QueryRouter router(*sharded, router_options);
-  const shard::RoutedBatchResult routed = router.RunBatch(batch);
-  ASSERT_EQ(routed.failed, 0u);
+  for (const auto& q : batch) {
+    ASSERT_TRUE(router.Query(q.query, q.sigma1, q.sigma2).ok());
+  }
 
   const WorkloadSnapshot serial_snap = serial_obs.Snapshot();
   const WorkloadSnapshot batch_snap = batch_obs.Snapshot();

@@ -545,20 +545,6 @@ TEST_F(RebalanceTest, RoutedQueryOverlappingAWholeRebalanceIsTagged) {
       });
 }
 
-TEST_F(RebalanceTest, RoutedBatchOverlappingAWholeRebalanceIsTagged) {
-  SKIP_WITHOUT_INJECTION();
-  CheckRebalanceInsideOneScatterIsTagged(
-      [](ShardedSetSimilarityIndex& index,
-         const ElementSet& q) -> Result<ShardedQueryResult> {
-        QueryRouterOptions router_options;
-        router_options.num_threads = 1;
-        QueryRouter router(index, router_options);
-        RoutedBatchResult batch = router.RunBatch({{q, 0.0, 0.7}});
-        if (!batch.statuses[0].ok()) return batch.statuses[0];
-        return std::move(batch.results[0]);
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Writers during a rebalance: fresh inserts route under the target
 // topology, and erasing a planned-but-unmoved sid skips its move.
