@@ -13,23 +13,23 @@ namespace ssr {
 SidHashTable::SidHashTable(std::size_t num_buckets) {
   const std::size_t n = static_cast<std::size_t>(
       NextPowerOfTwo(num_buckets == 0 ? 1 : num_buckets));
-  buckets_ = std::make_unique<std::atomic<Bucket*>[]>(n);
+  slots_ = std::make_unique<std::atomic<Slot>[]>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    buckets_[i].store(nullptr, std::memory_order_relaxed);
+    slots_[i].store(0, std::memory_order_relaxed);
   }
   num_buckets_ = n;
   mask_ = n - 1;
 }
 
 SidHashTable::~SidHashTable() {
-  if (buckets_ == nullptr) return;
+  if (slots_ == nullptr) return;
   for (std::size_t i = 0; i < num_buckets_; ++i) {
-    delete buckets_[i].load(std::memory_order_relaxed);
+    FreeSlot(slots_[i].load(std::memory_order_relaxed));
   }
 }
 
 SidHashTable::SidHashTable(SidHashTable&& other) noexcept
-    : buckets_(std::move(other.buckets_)),
+    : slots_(std::move(other.slots_)),
       num_buckets_(other.num_buckets_),
       mask_(other.mask_),
       size_(other.size_.load(std::memory_order_relaxed)),
@@ -41,12 +41,12 @@ SidHashTable::SidHashTable(SidHashTable&& other) noexcept
 
 SidHashTable& SidHashTable::operator=(SidHashTable&& other) noexcept {
   if (this != &other) {
-    if (buckets_ != nullptr) {
+    if (slots_ != nullptr) {
       for (std::size_t i = 0; i < num_buckets_; ++i) {
-        delete buckets_[i].load(std::memory_order_relaxed);
+        FreeSlot(slots_[i].load(std::memory_order_relaxed));
       }
     }
-    buckets_ = std::move(other.buckets_);
+    slots_ = std::move(other.slots_);
     num_buckets_ = other.num_buckets_;
     mask_ = other.mask_;
     size_.store(other.size_.load(std::memory_order_relaxed),
@@ -60,51 +60,64 @@ SidHashTable& SidHashTable::operator=(SidHashTable&& other) noexcept {
   return *this;
 }
 
-void SidHashTable::PublishBucket(std::size_t i, Bucket* replacement) {
-  Bucket* old = buckets_[i].exchange(replacement, std::memory_order_seq_cst);
-  if (old == nullptr) return;
-  if (manager_ != nullptr) {
-    manager_->Retire([old] { delete old; });
-  } else {
-    delete old;
+void SidHashTable::PublishSlot(std::size_t i, Slot replacement) {
+  if (manager_ == nullptr) {
+    // Build mode: single-threaded ownership, no reader to order against.
+    FreeSlot(slots_[i].load(std::memory_order_relaxed));
+    slots_[i].store(replacement, std::memory_order_relaxed);
+    return;
   }
+  const Slot old = slots_[i].exchange(replacement, std::memory_order_seq_cst);
+  if (old == 0 || IsInline(old)) return;
+  Bucket* bucket = HeapBucket(old);
+  manager_->Retire([bucket] { delete bucket; });
 }
 
 void SidHashTable::Insert(std::uint64_t key_hash, SetId sid) {
   const std::size_t i = BucketIndex(key_hash);
-  Bucket* bucket = buckets_[i].load(std::memory_order_relaxed);
-  if (manager_ == nullptr) {
+  const Entry entry{Fingerprint(key_hash), sid};
+  const Slot slot = slots_[i].load(std::memory_order_relaxed);
+  if (slot == 0) {
+    PublishSlot(i, InlineSlot(entry));
+  } else if (IsInline(slot)) {
+    PublishSlot(i, HeapSlot(new Bucket{InlineEntry(slot), entry}));
+  } else if (manager_ == nullptr) {
     // Build mode: single-threaded ownership, edit in place.
-    if (bucket == nullptr) {
-      bucket = new Bucket();
-      buckets_[i].store(bucket, std::memory_order_relaxed);
-    }
-    bucket->push_back({Fingerprint(key_hash), sid});
+    HeapBucket(slot)->push_back(entry);
   } else {
     // COW mode: publish a replacement, retire the old bucket.
-    auto* grown = bucket == nullptr ? new Bucket() : new Bucket(*bucket);
-    grown->push_back({Fingerprint(key_hash), sid});
-    PublishBucket(i, grown);
+    auto* grown = new Bucket(*HeapBucket(slot));
+    grown->push_back(entry);
+    PublishSlot(i, HeapSlot(grown));
   }
   size_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool SidHashTable::Erase(std::uint64_t key_hash, SetId sid) {
   const std::size_t i = BucketIndex(key_hash);
-  Bucket* bucket = buckets_[i].load(std::memory_order_relaxed);
-  if (bucket == nullptr) return false;
   const std::uint16_t fp = Fingerprint(key_hash);
   auto matches = [&](const Entry& e) {
     return e.sid == sid && e.fingerprint == fp;
   };
-  auto it = std::find_if(bucket->begin(), bucket->end(), matches);
-  if (it == bucket->end()) return false;
-  if (manager_ == nullptr) {
-    bucket->erase(it);
+  const Slot slot = slots_[i].load(std::memory_order_relaxed);
+  if (slot == 0) return false;
+  if (IsInline(slot)) {
+    if (!matches(InlineEntry(slot))) return false;
+    PublishSlot(i, 0);
   } else {
-    auto* shrunk = new Bucket(*bucket);
-    shrunk->erase(shrunk->begin() + (it - bucket->begin()));
-    PublishBucket(i, shrunk);
+    Bucket& bucket = *HeapBucket(slot);
+    auto it = std::find_if(bucket.begin(), bucket.end(), matches);
+    if (it == bucket.end()) return false;
+    if (bucket.size() == 2) {
+      // The survivor goes back inline.
+      PublishSlot(i, InlineSlot(bucket[it == bucket.begin() ? 1 : 0]));
+    } else if (manager_ == nullptr) {
+      bucket.erase(it);
+    } else {
+      auto* shrunk = new Bucket(bucket);
+      shrunk->erase(shrunk->begin() + (it - bucket.begin()));
+      PublishSlot(i, HeapSlot(shrunk));
+    }
   }
   size_.fetch_sub(1, std::memory_order_relaxed);
   return true;
@@ -128,21 +141,27 @@ std::size_t SidHashTable::Probe(std::uint64_t key_hash,
     fault::FaultInjector& injector = fault::FaultInjector::Default();
     if (injector.enabled()) injector.Check("hash_table/probe");
   }
-  const Bucket* bucket = LoadBucket(BucketIndex(key_hash));
-  if (bucket == nullptr) return 0;
-  scanned->Add(bucket->size());
   const std::uint16_t fp = Fingerprint(key_hash);
-  for (const Entry& e : *bucket) {
-    if (e.fingerprint == fp) out->push_back(e.sid);
-  }
-  return bucket->size();
+  std::size_t bucket_size = 0;
+  VisitSlot(LoadSlot(BucketIndex(key_hash)),
+            [&](const Entry* entries, std::size_t count) {
+              for (std::size_t j = 0; j < count; ++j) {
+                if (entries[j].fingerprint == fp) {
+                  out->push_back(entries[j].sid);
+                }
+              }
+              bucket_size = count;
+            });
+  if (bucket_size > 0) scanned->Add(bucket_size);
+  return bucket_size;
 }
 
 std::size_t SidHashTable::max_bucket_size() const {
   std::size_t max_size = 0;
   for (std::size_t i = 0; i < num_buckets_; ++i) {
-    const Bucket* b = LoadBucket(i);
-    if (b != nullptr) max_size = std::max(max_size, b->size());
+    VisitSlot(LoadSlot(i), [&](const Entry*, std::size_t count) {
+      max_size = std::max(max_size, count);
+    });
   }
   return max_size;
 }
@@ -150,13 +169,14 @@ std::size_t SidHashTable::max_bucket_size() const {
 std::uint64_t SidHashTable::ContentDigest() const {
   std::uint64_t h = SplitMix64(num_buckets_);
   for (std::size_t i = 0; i < num_buckets_; ++i) {
-    const Bucket* bucket = LoadBucket(i);
-    h = HashCombine(h, bucket == nullptr ? 0 : bucket->size());
-    if (bucket == nullptr) continue;
-    for (const Entry& e : *bucket) {
-      h = HashCombine(h, (static_cast<std::uint64_t>(e.fingerprint) << 48) ^
-                             static_cast<std::uint64_t>(e.sid));
-    }
+    VisitSlot(LoadSlot(i), [&](const Entry* entries, std::size_t count) {
+      h = HashCombine(h, count);
+      for (std::size_t j = 0; j < count; ++j) {
+        h = HashCombine(h, (static_cast<std::uint64_t>(entries[j].fingerprint)
+                            << 48) ^
+                               static_cast<std::uint64_t>(entries[j].sid));
+      }
+    });
   }
   return h;
 }

@@ -4,13 +4,20 @@
 // read in the paper's cost model, and SFI answers a query with O(l) bucket
 // accesses.
 //
-// Concurrency model (PR 10): each bucket is published through an atomic
-// pointer (null = empty). In the default single-writer build mode mutations
-// edit the bucket vector in place, exactly as before. After
-// SetEpochManager() the table switches to copy-on-write: Insert/Erase build
-// a replacement bucket, swap the pointer, and retire the old vector through
-// the epoch manager — so readers probing under an exec::EpochGuard are
-// wait-free and never observe a bucket mid-edit.
+// Storage: each bucket is one atomic word. An empty bucket is 0; a bucket
+// of one entry holds that entry inline, so it costs no allocation; two or
+// more entries live in a heap vector the word points to. With one bucket
+// per expected set (the default sizing) most occupied buckets typically
+// hold one entry, so a build allocates only for the buckets that grow past
+// one.
+//
+// Concurrency model: a bucket's word is replaced atomically, never
+// edited where a reader can see it. In the default single-writer build mode
+// mutations edit a heap vector in place. After SetEpochManager() the table
+// switches to copy-on-write: Insert/Erase build a replacement word, swap it
+// in, and retire a replaced heap vector through the epoch manager — so
+// readers probing under an exec::EpochGuard are wait-free and never observe
+// a bucket mid-edit.
 
 #ifndef SSR_CORE_HASH_TABLE_H_
 #define SSR_CORE_HASH_TABLE_H_
@@ -38,8 +45,6 @@ class SidHashTable {
     std::uint16_t fingerprint;
     SetId sid;
   };
-
-  using Bucket = std::vector<Entry>;
 
   /// `num_buckets` is rounded up to a power of two (>= 1).
   explicit SidHashTable(std::size_t num_buckets);
@@ -93,6 +98,45 @@ class SidHashTable {
   std::uint64_t ContentDigest() const;
 
  private:
+  using Bucket = std::vector<Entry>;
+  /// A bucket's word: 0 when empty, one inline entry (low bit 1, the
+  /// fingerprint in bits 1-16 and the sid in bits 17-48), or a Bucket*
+  /// holding two or more entries (aligned, so its low bit is 0).
+  using Slot = std::uint64_t;
+
+  static bool IsInline(Slot slot) { return (slot & 1) != 0; }
+  static Slot InlineSlot(const Entry& e) {
+    return (static_cast<Slot>(e.sid) << 17) |
+           (static_cast<Slot>(e.fingerprint) << 1) | 1;
+  }
+  static Entry InlineEntry(Slot slot) {
+    return {static_cast<std::uint16_t>(slot >> 1),
+            static_cast<SetId>(slot >> 17)};
+  }
+  static Bucket* HeapBucket(Slot slot) {
+    return reinterpret_cast<Bucket*>(static_cast<std::uintptr_t>(slot));
+  }
+  static Slot HeapSlot(Bucket* bucket) {
+    return static_cast<Slot>(reinterpret_cast<std::uintptr_t>(bucket));
+  }
+  /// Frees the heap bucket behind `slot`, if it has one.
+  static void FreeSlot(Slot slot) {
+    if (slot != 0 && !IsInline(slot)) delete HeapBucket(slot);
+  }
+  /// Calls fn(entries, count) with the entries the word `slot` holds.
+  template <typename Fn>
+  static void VisitSlot(Slot slot, Fn&& fn) {
+    if (slot == 0) {
+      fn(static_cast<const Entry*>(nullptr), std::size_t{0});
+    } else if (IsInline(slot)) {
+      const Entry entry = InlineEntry(slot);
+      fn(&entry, std::size_t{1});
+    } else {
+      const Bucket* bucket = HeapBucket(slot);
+      fn(bucket->data(), bucket->size());
+    }
+  }
+
   std::size_t BucketIndex(std::uint64_t key_hash) const {
     return key_hash & mask_;
   }
@@ -100,17 +144,17 @@ class SidHashTable {
     return static_cast<std::uint16_t>(key_hash >> 48);
   }
 
-  /// Reader-side bucket load; null means empty.
-  const Bucket* LoadBucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_seq_cst);
+  /// Reader-side word load.
+  Slot LoadSlot(std::size_t i) const {
+    return slots_[i].load(std::memory_order_seq_cst);
   }
 
-  /// Swaps bucket `i` to `replacement` (ownership transferred; null =
-  /// empty) and disposes of the old bucket — inline in build mode, via
-  /// epoch retire in COW mode.
-  void PublishBucket(std::size_t i, Bucket* replacement);
+  /// Replaces bucket `i`'s word with `replacement` (taking ownership of its
+  /// heap bucket, if any) and disposes of the old heap bucket — inline in
+  /// build mode, via epoch retire in COW mode.
+  void PublishSlot(std::size_t i, Slot replacement);
 
-  std::unique_ptr<std::atomic<Bucket*>[]> buckets_;
+  std::unique_ptr<std::atomic<Slot>[]> slots_;
   std::size_t num_buckets_ = 0;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> size_{0};

@@ -225,6 +225,9 @@ void SetSimilarityIndex::EnableConcurrentWrites(exec::EpochManager* manager) {
 
 Status SetSimilarityIndex::BuildFilterIndices() {
   Stopwatch build_watch;
+  // The pool starts first: its workers come up while this thread creates
+  // the tables and scans the store.
+  exec::ThreadPool pool(exec::ResolveThreadCount(options_.num_threads));
   SSR_RETURN_IF_ERROR(CreateFilterIndices());
 
   // Phase 0 (serial): one sequential scan collects every live set in file
@@ -245,7 +248,6 @@ Status SetSimilarityIndex::BuildFilterIndices() {
   SSR_RETURN_IF_ERROR(status);
   const std::size_t n = sids.size();
 
-  exec::ThreadPool pool(exec::ResolveThreadCount(options_.num_threads));
   build_stats_ = BuildStats{};
   build_stats_.threads = pool.size();
   build_stats_.sets_indexed = n;
@@ -262,15 +264,17 @@ Status SetSimilarityIndex::BuildFilterIndices() {
     }
   }
 
-  // Phase 1 (parallel): sign every set, in blocks of 32 sets. Each worker
-  // owns whole blocks and writes disjoint sid-indexed slots; Sign is const
-  // and reentrant, and each signature depends only on its own set, so the
-  // result is bit-identical to the serial build for any thread count.
+  // Phase 1 (parallel): sign every set, in blocks of 8 sets, small enough
+  // that the static round-robin schedule leaves no worker more than one
+  // block above its share. Each worker owns whole blocks and writes
+  // disjoint sid-indexed slots; Sign is const and reentrant, and each
+  // signature depends only on its own set, so the result is bit-identical
+  // to the serial build for any thread count.
   double parallel_wall = 0.0;
   {
     obs::TraceSpan span("build/sign");
     span.Tag("sets", static_cast<std::uint64_t>(n));
-    constexpr std::size_t kSignBlock = 32;
+    constexpr std::size_t kSignBlock = 8;
     const std::size_t blocks = (n + kSignBlock - 1) / kSignBlock;
     pool.ParallelFor(
         0, blocks, /*grain=*/1,

@@ -10,6 +10,7 @@
 #endif
 
 #include "obs/json_writer.h"
+#include "util/simd.h"
 
 namespace ssr {
 
@@ -96,6 +97,9 @@ EnvFingerprint CollectEnvFingerprint() {
       FirstLineOf("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
   env.governor = governor.empty() ? kUnknown : governor;
   env.os = OsId();
+  env.simd = simd::Avx512Runtime() ? "avx512"
+             : simd::Avx2Runtime() ? "avx2"
+                                   : "scalar";
   return env;
 }
 
@@ -108,6 +112,7 @@ void WriteEnvJson(obs::JsonWriter& writer, const EnvFingerprint& env) {
   writer.Key("num_cores").UInt(env.num_cores);
   writer.Key("governor").String(env.governor);
   writer.Key("os").String(env.os);
+  writer.Key("simd").String(env.simd);
   writer.EndObject();
 }
 

@@ -1,7 +1,7 @@
 // Environment fingerprint stamped into every RunReport "env" section, so a
 // BENCH_*.json trajectory point is self-describing: a perf delta between
 // two points is only meaningful when their fingerprints match (same
-// hardware, governor, compiler, and commit).
+// hardware, governor, compiler, commit, and SIMD kernel level).
 
 #ifndef SSR_EVAL_ENV_FINGERPRINT_H_
 #define SSR_EVAL_ENV_FINGERPRINT_H_
@@ -25,6 +25,8 @@ struct EnvFingerprint {
   std::uint32_t num_cores = 0;
   std::string governor;    // cpu0 scaling_governor, e.g. "performance"
   std::string os;          // uname sysname/release
+  std::string simd;        // kernel level util/simd.h resolved: "avx512",
+                           // "avx2" or "scalar"
 };
 
 /// Collects the fingerprint for the running process. Cheap enough to call

@@ -49,10 +49,21 @@ double JobStats::TotalCpuSeconds() const {
 
 ThreadPool::ThreadPool(std::size_t num_threads)
     : num_workers_(num_threads < 1 ? 1 : num_threads) {
-  threads_.reserve(num_workers_ - 1);
-  for (std::size_t w = 1; w < num_workers_; ++w) {
-    threads_.emplace_back([this, w] { WorkerMain(w); });
-  }
+  if (num_workers_ == 1) return;
+  // The caller starts worker 1 only; worker 1 starts the rest before it
+  // serves jobs. Creating a thread costs its creator tens of microseconds
+  // in a VM, so the caller gets back to its own work after one of them
+  // instead of all. A job issued before every worker is up just waits
+  // for the late ones (each runs the pending job when it starts). A
+  // thread that cannot be started ends the program: every job runs on
+  // all workers, so a pool cannot go on with fewer.
+  threads_.resize(num_workers_ - 1);
+  threads_[0] = std::thread([this] {
+    for (std::size_t w = 2; w < num_workers_; ++w) {
+      threads_[w - 1] = std::thread([this, w] { WorkerMain(w); });
+    }
+    WorkerMain(1);
+  });
 }
 
 ThreadPool::~ThreadPool() {
@@ -61,6 +72,7 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   job_ready_.notify_all();
+  // Worker 1 first: its exit orders after its writes to threads_[1..].
   for (std::thread& t : threads_) t.join();
 }
 

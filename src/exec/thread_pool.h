@@ -102,7 +102,9 @@ class ThreadPool {
   void WorkerMain(std::size_t worker);
 
   const std::size_t num_workers_;
-  std::vector<std::thread> threads_;  // num_workers_ - 1 entries
+  // num_workers_ - 1 entries: [0] is started by the constructor, the rest
+  // by worker 1 (see the constructor).
+  std::vector<std::thread> threads_;
   JobStats last_job_;
   std::atomic<std::uint64_t> jobs_run_{0};
   std::atomic<bool> busy_{false};

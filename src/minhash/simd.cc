@@ -195,6 +195,114 @@ __attribute__((target("avx2"))) void CMinAvx2(const std::uint64_t* z,
   }
 }
 
+// GCC 12's AVX-512 intrinsics seed their unused pass-through operand with a
+// self-initialized variable (_mm512_undefined_epi32), which trips
+// -Wmaybe-uninitialized wherever they inline (GCC bug 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+namespace {
+
+// Lanes [0, r) of an 8-lane chunk, for the masked last chunk when k is not
+// a multiple of 8: masked-off lanes are neither loaded nor stored.
+inline __mmask8 LaneMask(std::size_t r) {
+  return static_cast<__mmask8>(r >= 8 ? 0xffu : (1u << r) - 1u);
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i Fmix64x8(
+    __m512i x) {
+  const __m512i m1 = _mm512_set1_epi64(static_cast<long long>(kFmixM1));
+  const __m512i m2 = _mm512_set1_epi64(static_cast<long long>(kFmixM2));
+  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+  x = _mm512_mullo_epi64(x, m1);
+  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+  x = _mm512_mullo_epi64(x, m2);
+  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+  return x;
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i CMix64x8(
+    __m512i x) {
+  const __m512i m = _mm512_set1_epi64(0x9e3779b9LL);
+  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+  x = _mm512_mullo_epi64(x, m);
+  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 29));
+  return x;
+}
+
+}  // namespace
+
+__attribute__((target("avx512f,avx512dq"))) void ClassicMinAvx512(
+    const std::uint64_t* derived, std::size_t k, const ElementId* elems,
+    std::size_t n, std::uint64_t* minima) {
+  // As ClassicMinAvx2, 8 lanes wide. Two accumulators take alternate
+  // elements, so consecutive VPMINUQs do not wait on each other; min is
+  // associative and commutative on integers, so the regrouping is
+  // bit-identical to the scalar reduction order.
+  for (std::size_t i = 0; i < k; i += 8) {
+    const __mmask8 lanes = LaneMask(k - i);
+    const __m512i dv = _mm512_maskz_loadu_epi64(lanes, derived + i);
+    __m512i acc0 = _mm512_maskz_loadu_epi64(lanes, minima + i);
+    __m512i acc1 = acc0;
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+      const __m512i e0 = _mm512_set1_epi64(static_cast<long long>(elems[j]));
+      const __m512i e1 =
+          _mm512_set1_epi64(static_cast<long long>(elems[j + 1]));
+      acc0 = _mm512_min_epu64(acc0, Fmix64x8(_mm512_xor_si512(e0, dv)));
+      acc1 = _mm512_min_epu64(acc1, Fmix64x8(_mm512_xor_si512(e1, dv)));
+    }
+    if (j < n) {
+      const __m512i e = _mm512_set1_epi64(static_cast<long long>(elems[j]));
+      acc0 = _mm512_min_epu64(acc0, Fmix64x8(_mm512_xor_si512(e, dv)));
+    }
+    _mm512_mask_storeu_epi64(minima + i, lanes, _mm512_min_epu64(acc0, acc1));
+  }
+}
+
+__attribute__((target("avx512f,avx512dq"))) void CMinAvx512(
+    const std::uint64_t* z, std::size_t n, std::uint64_t step, std::size_t k,
+    std::uint64_t* minima) {
+  // Lane l of the chunk at i offsets by (i + l) * step mod 2^64, the sum
+  // CMinScalar accumulates; each chunk adds 8 * step to every lane. Four
+  // accumulators over the elements, as in CMinAvx2.
+  const __m512i step_v = _mm512_set1_epi64(static_cast<long long>(step));
+  const __m512i advance = _mm512_set1_epi64(static_cast<long long>(8 * step));
+  __m512i offs =
+      _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), step_v);
+  for (std::size_t i = 0; i < k;
+       i += 8, offs = _mm512_add_epi64(offs, advance)) {
+    const __mmask8 lanes = LaneMask(k - i);
+    __m512i acc0 = _mm512_maskz_loadu_epi64(lanes, minima + i);
+    __m512i acc1 = acc0, acc2 = acc0, acc3 = acc0;
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const __m512i z0 = _mm512_set1_epi64(static_cast<long long>(z[j]));
+      const __m512i z1 = _mm512_set1_epi64(static_cast<long long>(z[j + 1]));
+      const __m512i z2 = _mm512_set1_epi64(static_cast<long long>(z[j + 2]));
+      const __m512i z3 = _mm512_set1_epi64(static_cast<long long>(z[j + 3]));
+      acc0 = _mm512_min_epu64(acc0, CMix64x8(_mm512_add_epi64(z0, offs)));
+      acc1 = _mm512_min_epu64(acc1, CMix64x8(_mm512_add_epi64(z1, offs)));
+      acc2 = _mm512_min_epu64(acc2, CMix64x8(_mm512_add_epi64(z2, offs)));
+      acc3 = _mm512_min_epu64(acc3, CMix64x8(_mm512_add_epi64(z3, offs)));
+    }
+    for (; j < n; ++j) {
+      const __m512i zv = _mm512_set1_epi64(static_cast<long long>(z[j]));
+      acc0 = _mm512_min_epu64(acc0, CMix64x8(_mm512_add_epi64(zv, offs)));
+    }
+    _mm512_mask_storeu_epi64(
+        minima + i, lanes,
+        _mm512_min_epu64(_mm512_min_epu64(acc0, acc1),
+                         _mm512_min_epu64(acc2, acc3)));
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 #else  // !SSR_SIMD_AVX2
 
 void ClassicMinAvx2(const std::uint64_t* derived, std::size_t k,
@@ -208,12 +316,25 @@ void CMinAvx2(const std::uint64_t* z, std::size_t n, std::uint64_t step,
   CMinScalar(z, n, step, k, minima);
 }
 
+void ClassicMinAvx512(const std::uint64_t* derived, std::size_t k,
+                      const ElementId* elems, std::size_t n,
+                      std::uint64_t* minima) {
+  ClassicMinScalar(derived, k, elems, n, minima);
+}
+
+void CMinAvx512(const std::uint64_t* z, std::size_t n, std::uint64_t step,
+                std::size_t k, std::uint64_t* minima) {
+  CMinScalar(z, n, step, k, minima);
+}
+
 #endif  // SSR_SIMD_AVX2
 
 void ClassicMinAuto(const std::uint64_t* derived, std::size_t k,
                     const ElementId* elems, std::size_t n,
                     std::uint64_t* minima) {
-  if (Avx2Runtime()) {
+  if (Avx512Runtime()) {
+    ClassicMinAvx512(derived, k, elems, n, minima);
+  } else if (Avx2Runtime()) {
     ClassicMinAvx2(derived, k, elems, n, minima);
   } else {
     ClassicMinScalar(derived, k, elems, n, minima);
@@ -222,7 +343,9 @@ void ClassicMinAuto(const std::uint64_t* derived, std::size_t k,
 
 void CMinAuto(const std::uint64_t* z, std::size_t n, std::uint64_t step,
               std::size_t k, std::uint64_t* minima) {
-  if (Avx2Runtime()) {
+  if (Avx512Runtime()) {
+    CMinAvx512(z, n, step, k, minima);
+  } else if (Avx2Runtime()) {
     CMinAvx2(z, n, step, k, minima);
   } else {
     CMinScalar(z, n, step, k, minima);

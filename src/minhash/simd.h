@@ -1,18 +1,24 @@
 // CPU-dispatched signing kernels for the min-hash families.
 //
 // Each kernel computes, for one set, the running 64-bit minimum per
-// permutation lane — the inner loop of signing. Two variants exist per
-// kernel: a portable scalar loop and an AVX2 one (4 lanes of 64-bit
-// arithmetic). Both perform the exact same mod-2^64 operations, so their
-// outputs are bit-identical by construction; the dispatch-parity test
-// (tests/minhash/dispatch_parity_test.cc) pins that.
+// permutation lane — the inner loop of signing. Three variants exist per
+// kernel: a portable scalar loop, an AVX2 one (4 lanes of 64-bit
+// arithmetic, the 64-bit multiply emulated with VPMULUDQ) and an AVX-512
+// one (8 lanes, native VPMULLQ and VPMINUQ, masked last chunk). All perform
+// the exact same mod-2^64 operations, so their outputs are bit-identical by
+// construction; the dispatch-parity test (tests/minhash/
+// dispatch_parity_test.cc) pins that, and the golden test (tests/minhash/
+// signature_golden_test.cc) pins every family's signatures across builds.
 //
 // Dispatch strategy: the library's one SIMD gate (util/simd.h), shared with
-// the set-intersection kernels. The AVX2 variants carry
-// __attribute__((target("avx2"))) and are compiled only when SSR_SIMD is ON;
-// the *Auto entry points pick them when Avx2Runtime() holds and degrade to
-// the scalar loops otherwise (SSR_SIMD=OFF, non-x86, pre-AVX2 hardware, or
-// SSR_NO_SIMD=1 in the environment).
+// the set-intersection kernels. The vector variants carry
+// __attribute__((target("avx2"))) or target("avx512f,avx512dq") and are
+// compiled only when SSR_SIMD is ON; the *Auto entry points pick AVX-512
+// when Avx512Runtime() holds, else AVX2 when Avx2Runtime() holds, else the
+// scalar loops (SSR_SIMD=OFF, non-x86, pre-AVX2 hardware, or SSR_NO_SIMD=1
+// in the environment). Calling an Avx2 or Avx512 variant directly on a CPU
+// without that instruction set is an illegal instruction; with SSR_SIMD
+// OFF they forward to the scalar loops.
 
 #ifndef SSR_MINHASH_SIMD_H_
 #define SSR_MINHASH_SIMD_H_
@@ -36,6 +42,9 @@ void ClassicMinScalar(const std::uint64_t* derived, std::size_t k,
 void ClassicMinAvx2(const std::uint64_t* derived, std::size_t k,
                     const ElementId* elems, std::size_t n,
                     std::uint64_t* minima);
+void ClassicMinAvx512(const std::uint64_t* derived, std::size_t k,
+                      const ElementId* elems, std::size_t n,
+                      std::uint64_t* minima);
 void ClassicMinAuto(const std::uint64_t* derived, std::size_t k,
                     const ElementId* elems, std::size_t n,
                     std::uint64_t* minima);
@@ -48,6 +57,8 @@ void CMinScalar(const std::uint64_t* z, std::size_t n, std::uint64_t step,
                 std::size_t k, std::uint64_t* minima);
 void CMinAvx2(const std::uint64_t* z, std::size_t n, std::uint64_t step,
               std::size_t k, std::uint64_t* minima);
+void CMinAvx512(const std::uint64_t* z, std::size_t n, std::uint64_t step,
+                std::size_t k, std::uint64_t* minima);
 void CMinAuto(const std::uint64_t* z, std::size_t n, std::uint64_t step,
               std::size_t k, std::uint64_t* minima);
 
@@ -59,7 +70,9 @@ void CMinAuto(const std::uint64_t* z, std::size_t n, std::uint64_t step,
 /// nothing the post-selection finalizer doesn't already provide. The
 /// multiplier deliberately fits in 32 bits: AVX2 has no 64-bit multiply,
 /// and an exact x*M for M < 2^32 takes two VPMULUDQ instead of the three a
-/// general 64-bit constant needs — this mixer IS the kernel's cost.
+/// general 64-bit constant needs — this mixer IS the kernel's cost. The
+/// AVX-512 kernel multiplies with one native VPMULLQ, where the narrow
+/// constant saves nothing; it stays because it defines the signatures.
 inline std::uint64_t CMix(std::uint64_t u) {
   u ^= u >> 33;
   u *= 0x9e3779b9ULL;

@@ -177,6 +177,29 @@ std::uint32_t ReadLeU32(const char* p) {
 
 }  // namespace
 
+void WriteLocators(BinaryWriter& out,
+                   const std::vector<RecordLocator>& locators) {
+  out.WriteU64(locators.size());
+  for (const RecordLocator& loc : locators) {
+    out.WriteU32(loc.page);
+    out.WriteU16(loc.slot);
+    out.WriteU16(0);  // pad
+  }
+}
+
+Status ReadLocators(BinaryReader& in, std::vector<RecordLocator>* locators) {
+  std::uint64_t count = 0;
+  SSR_RETURN_IF_ERROR(in.ReadCount(&count, 8));
+  locators->resize(static_cast<std::size_t>(count));
+  for (RecordLocator& loc : *locators) {
+    std::uint16_t pad = 0;
+    SSR_RETURN_IF_ERROR(in.ReadU32(&loc.page));
+    SSR_RETURN_IF_ERROR(in.ReadU16(&loc.slot));
+    SSR_RETURN_IF_ERROR(in.ReadU16(&pad));
+  }
+  return Status::OK();
+}
+
 Status HeapFile::SaveTo(std::ostream& out) const {
   SnapshotWriter snapshot(out, kHeapFileMagic, kHeapFileVersion);
 
@@ -195,7 +218,7 @@ Status HeapFile::SaveTo(std::ostream& out) const {
   SSR_RETURN_IF_ERROR(snapshot.EndSection());
 
   BinaryWriter& recdir = snapshot.BeginSection("recdir");
-  recdir.WriteVector(record_dir_);
+  WriteLocators(recdir, record_dir_);
   SSR_RETURN_IF_ERROR(snapshot.EndSection());
 
   // Pages last, each prefixed by its own CRC32: damage here leaves the
@@ -252,7 +275,7 @@ Result<HeapFile> HeapFile::LoadFrom(std::istream& in,
   {
     std::istringstream dir_in(payload);
     BinaryReader dir(dir_in);
-    SSR_RETURN_IF_ERROR(dir.ReadVector(&file.record_dir_));
+    SSR_RETURN_IF_ERROR(ReadLocators(dir, &file.record_dir_));
   }
   if (file.record_dir_.size() != num_records) {
     return Status::Corruption("record directory size mismatch");

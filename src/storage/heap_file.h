@@ -33,6 +33,17 @@ struct RecordLocator {
   bool operator==(const RecordLocator&) const = default;
 };
 
+/// Writes `locators` with a u64 count, 8 bytes each as snapshots have
+/// always laid them out: u32 page, u16 slot, then a u16 pad written as 0.
+/// The struct itself is never written raw: its 2 padding bytes are
+/// indeterminate, so two saves of one store would differ.
+void WriteLocators(BinaryWriter& out,
+                   const std::vector<RecordLocator>& locators);
+
+/// Reads what WriteLocators wrote. The pad is ignored: older snapshots may
+/// hold any bytes there.
+Status ReadLocators(BinaryReader& in, std::vector<RecordLocator>* locators);
+
 /// Append-only heap file (deletes are handled above, in SetStore, by
 /// clearing the sid's live bit; space is not reclaimed, as in a classic
 /// heap file without vacuum).

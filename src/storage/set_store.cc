@@ -149,11 +149,9 @@ Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
   return result;
 }
 
-SetStore::ReadView::ReadView(const SetStore& store,
-                             std::size_t buffer_pool_pages)
+SetStore::ReadView::ReadView(const SetStore& store)
     : store_(&store),
-      pool_(buffer_pool_pages == 0 ? store.options_.buffer_pool_pages
-                                   : buffer_pool_pages,
+      pool_(store.options_.buffer_pool_pages,
             obs::MetricsRegistry::Default().NewScope(
                 store.options_.metrics_scope + "/view")),
       io_(store.options_.io, pool_.metrics_scope()) {}
@@ -257,7 +255,7 @@ Status SetStore::SaveTo(std::ostream& out) const {
   }
   BinaryWriter& live_sec = snapshot.BeginSection("live");
   live_sec.WriteVector(live);
-  live_sec.WriteVector(locators);
+  WriteLocators(live_sec, locators);
   SSR_RETURN_IF_ERROR(snapshot.EndSection());
 
   SSR_RETURN_IF_ERROR(snapshot.Finish());
@@ -291,7 +289,7 @@ Result<SetStore> SetStore::Load(std::istream& in, SetStoreOptions options,
     std::istringstream live_in(payload);
     BinaryReader live_reader(live_in);
     SSR_RETURN_IF_ERROR(live_reader.ReadVector(&live));
-    SSR_RETURN_IF_ERROR(live_reader.ReadVector(&locators));
+    SSR_RETURN_IF_ERROR(ReadLocators(live_reader, &locators));
   }
   if (live.size() != locators.size()) {
     return Status::Corruption("live/locator size mismatch");

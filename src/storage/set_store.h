@@ -77,11 +77,10 @@ class SetStore {
   /// it is then only destroyed or compared by store().
   class ReadView {
    public:
-    /// `buffer_pool_pages` = 0 uses the store's configured pool capacity.
-    /// The view's pool and I/O instruments live under a fresh
-    /// "<store-scope>/view/N" metrics scope so views never share counters.
-    explicit ReadView(const SetStore& store,
-                      std::size_t buffer_pool_pages = 0);
+    /// The view's pool has the store's configured capacity. Its pool and
+    /// I/O instruments live under a fresh "<store-scope>/view/N" metrics
+    /// scope so views never share counters.
+    explicit ReadView(const SetStore& store);
 
     /// The store this view reads (identity only once the store is gone).
     const SetStore* store() const { return store_; }

@@ -53,10 +53,13 @@ class BinaryWriter {
   /// Raw bytes without a length prefix (page images, section payloads).
   void WriteBytes(const void* data, std::size_t len) { WriteRaw(data, len); }
 
+  /// Length-prefixed raw elements. T may hold no padding (nor floating
+  /// point): its bytes are written as they lie in memory, so indeterminate
+  /// padding bytes would make two writes of equal values differ.
   template <typename T>
   void WriteVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "WriteVector needs a trivially copyable element type");
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "WriteVector needs an element type without padding");
     WriteU64(v.size());
     WriteRaw(v.data(), v.size() * sizeof(T));
   }
@@ -141,17 +144,26 @@ class BinaryReader {
     return ReadRaw(s->data(), s->size());
   }
 
-  template <typename T>
-  Status ReadVector(std::vector<T>* v) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ReadVector needs a trivially copyable element type");
-    std::uint64_t size = 0;
-    SSR_RETURN_IF_ERROR(ReadU64(&size));
+  /// Reads the u64 element count of a vector whose elements take
+  /// `element_bytes` (> 0) bytes each, and rejects it as Corruption when
+  /// the elements would pass the sanity limit or the stream's remaining
+  /// bytes. ReadVector starts with it; a caller that reads the elements
+  /// field by field calls it first.
+  Status ReadCount(std::uint64_t* count, std::size_t element_bytes) {
+    SSR_RETURN_IF_ERROR(ReadU64(count));
     // Overflow-safe: bound the element count before multiplying.
-    if (size > sanity_limit_ / sizeof(T)) {
+    if (*count > sanity_limit_ / element_bytes) {
       return Status::Corruption("vector length exceeds sanity limit");
     }
-    SSR_RETURN_IF_ERROR(CheckLength(size * sizeof(T), "vector"));
+    return CheckLength(*count * element_bytes, "vector");
+  }
+
+  template <typename T>
+  Status ReadVector(std::vector<T>* v) {
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "ReadVector needs an element type without padding");
+    std::uint64_t size = 0;
+    SSR_RETURN_IF_ERROR(ReadCount(&size, sizeof(T)));
     v->resize(static_cast<std::size_t>(size));
     return ReadRaw(v->data(), v->size() * sizeof(T));
   }

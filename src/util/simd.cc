@@ -32,6 +32,17 @@ bool Avx2Runtime() {
 #endif
 }
 
+bool Avx512Runtime() {
+#if defined(SSR_SIMD_AVX2)
+  static const bool available =
+      Avx2Runtime() && __builtin_cpu_supports("avx512f") != 0 &&
+      __builtin_cpu_supports("avx512dq") != 0;
+  return available;
+#else
+  return false;
+#endif
+}
+
 std::size_t IntersectionSizeScalar(const ElementId* a, std::size_t na,
                                    const ElementId* b, std::size_t nb) {
   std::size_t count = 0;

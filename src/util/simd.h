@@ -1,15 +1,18 @@
 // The library's one SIMD gate, and the set-intersection kernels behind
 // IntersectionSize / Jaccard (the verification step of every query).
 //
-// Dispatch strategy, shared by every AVX2 kernel (these and the min-hash
-// signing kernels in minhash/simd.h): the AVX2 variants are compiled behind
-// the SSR_SIMD CMake option using __attribute__((target("avx2"))) — only the
-// kernel sources see the SSR_SIMD_AVX2 define, no global compiler flags, so
-// the rest of each translation unit stays baseline x86-64 — and selected at
-// runtime via Avx2Runtime(). When SSR_SIMD is OFF, on non-x86 targets, or on
-// pre-AVX2 hardware, the Avx2 entry points forward to the scalar loops.
-// SSR_NO_SIMD=1 in the environment forces the scalar paths at runtime (used
-// by benches to measure the fallback).
+// Dispatch strategy, shared by every SIMD kernel (these and the min-hash
+// signing kernels in minhash/simd.h): the vector variants are compiled
+// behind the SSR_SIMD CMake option, each under its own
+// __attribute__((target(...))) — "avx2", or "avx512f,avx512dq" for the
+// 8-lane signing kernels. Only the kernel sources see the SSR_SIMD_AVX2
+// define, no global compiler flags, so the rest of each translation unit
+// stays baseline x86-64. The gate resolves one level per process, the
+// widest the CPU runs: AVX-512 (Avx512Runtime()), else AVX2
+// (Avx2Runtime()), else scalar. When SSR_SIMD is OFF or on non-x86
+// targets, the Avx2 and Avx512 entry points forward to the scalar loops.
+// SSR_NO_SIMD=1 in the environment forces the scalar paths at runtime; CI
+// reruns the parity suites under it.
 
 #ifndef SSR_UTIL_SIMD_H_
 #define SSR_UTIL_SIMD_H_
@@ -21,13 +24,18 @@
 namespace ssr {
 namespace simd {
 
-/// True iff the AVX2 kernels were compiled in (SSR_SIMD=ON on x86-64).
+/// True iff the SIMD kernels were compiled in (SSR_SIMD=ON on x86-64): the
+/// AVX2 ones and the AVX-512 signing kernels build together.
 bool Avx2Compiled();
 
 /// True iff the AVX2 kernels will actually run: compiled in, the CPU
 /// reports AVX2, and SSR_NO_SIMD is not set in the environment. Resolved
 /// once per process.
 bool Avx2Runtime();
+
+/// True iff the AVX-512 kernels will actually run: Avx2Runtime() holds and
+/// the CPU reports AVX-512F and AVX-512DQ. Resolved once per process.
+bool Avx512Runtime();
 
 /// |a ∩ b| for two strictly increasing id runs [a, a+na) and [b, b+nb).
 ///

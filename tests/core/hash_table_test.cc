@@ -1,7 +1,10 @@
 #include "core/hash_table.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "exec/epoch.h"
 #include "util/hash.h"
 
 namespace ssr {
@@ -116,6 +119,39 @@ TEST(SidHashTableTest, EmptyProbeReturnsNothing) {
   std::vector<SetId> out;
   EXPECT_EQ(table.Probe(42, &out), 0u);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(SidHashTableTest, BucketGrowsAndShrinksThroughEveryRepresentation) {
+  // A bucket holds one entry inline and two or more in a heap vector. Walk
+  // one bucket 0 -> 1 -> 3 -> 1 -> 0 entries, in build mode and in COW
+  // mode, with the widest fingerprint and sid the inline word must carry.
+  const std::uint64_t key = 0xFFFF000000000003ULL;
+  const SetId big = 0xFFFFFFFEu;
+  for (const bool cow : {false, true}) {
+    SCOPED_TRACE(cow ? "copy-on-write" : "build mode");
+    exec::EpochManager manager;
+    SidHashTable table(16);
+    if (cow) table.SetEpochManager(&manager);
+    table.Insert(key, big);
+    EXPECT_EQ(ProbeAll(table, key), std::vector<SetId>{big});
+    table.Insert(key, 1);
+    table.Insert(key, 2);
+    EXPECT_EQ(ProbeAll(table, key), (std::vector<SetId>{big, 1, 2}));
+    EXPECT_EQ(table.max_bucket_size(), 3u);
+    EXPECT_TRUE(table.Erase(key, big));
+    EXPECT_TRUE(table.Erase(key, 2));
+    EXPECT_FALSE(table.Erase(key, 2));
+    EXPECT_EQ(ProbeAll(table, key), std::vector<SetId>{1});
+    // The digest sees entries, not how they are stored.
+    SidHashTable fresh(16);
+    fresh.Insert(key, 1);
+    EXPECT_EQ(table.ContentDigest(), fresh.ContentDigest());
+    EXPECT_TRUE(table.Erase(key, 1));
+    EXPECT_TRUE(ProbeAll(table, key).empty());
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.ContentDigest(), SidHashTable(16).ContentDigest());
+    manager.Quiesce();
+  }
 }
 
 }  // namespace

@@ -68,11 +68,16 @@ TEST(EnvFingerprintTest, CollectsNonEmptyFieldsAndHonorsShaOverride) {
   EXPECT_FALSE(env.compiler.empty());
   EXPECT_FALSE(env.os.empty());
   EXPECT_GE(env.num_cores, 1u);
+  EXPECT_TRUE(env.simd == "avx512" || env.simd == "avx2" ||
+              env.simd == "scalar")
+      << env.simd;
   ASSERT_EQ(unsetenv("SSR_GIT_SHA"), 0);
 
   obs::JsonWriter writer;
   WriteEnvJson(writer, env);
   EXPECT_NE(writer.str().find("\"git_sha\":\"deadbeef1234\""),
+            std::string::npos);
+  EXPECT_NE(writer.str().find("\"simd\":\"" + env.simd + "\""),
             std::string::npos);
 }
 

@@ -4,6 +4,7 @@
 
 #include "exec/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -154,6 +155,25 @@ TEST(ThreadPoolTest, JobStatsAccountPerWorkerCpu) {
   double max_worker = 0.0;
   for (double c : stats.worker_cpu_seconds) max_worker = std::max(max_worker, c);
   EXPECT_DOUBLE_EQ(stats.MakespanSeconds(), max_worker);
+}
+
+TEST(ThreadPoolTest, WorkersStartedByWorkerOneRunTheFirstJob) {
+  // The constructor starts worker 1 and worker 1 starts the rest, so a job
+  // issued at once may find workers still starting, and a pool may be
+  // destroyed before they are up. Each worker is its own thread either way.
+  for (const std::size_t n : {2u, 3u, 8u}) {
+    for (int round = 0; round < 20; ++round) {
+      { ThreadPool idle(n); }
+      ThreadPool pool(n);
+      std::vector<std::thread::id> ids(n);
+      pool.RunOnAllWorkers(
+          [&](std::size_t worker) { ids[worker] = std::this_thread::get_id(); });
+      EXPECT_EQ(ids[0], std::this_thread::get_id());
+      std::sort(ids.begin(), ids.end());
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+          << n << " workers, round " << round;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAcrossJobs) {

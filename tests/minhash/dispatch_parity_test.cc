@@ -1,10 +1,11 @@
-// Dispatch parity: the AVX2 batch-signing kernels must be bit-identical to
-// the portable scalar loops on every input — both perform the exact same
-// mod-2^64 operations, so any divergence is a kernel bug, not rounding.
-// On hardware without AVX2 (or with SSR_SIMD=OFF, where the Avx2 entry
-// points forward to the scalar loops) the comparisons are trivially equal,
-// so this suite passes in every build configuration; the CI SIMD-off leg
-// runs it to pin exactly that.
+// Dispatch parity: the AVX2 and AVX-512 signing kernels must be
+// bit-identical to the portable scalar loops on every input — all perform
+// the exact same mod-2^64 operations, so any divergence is a kernel bug,
+// not rounding. A vector variant is called directly only when the gate says
+// it runs here (a direct call on a CPU without the instruction set is an
+// illegal instruction); otherwise its test skips. The *Auto entry points
+// run in every build, so the CI SIMD-off leg and the SSR_NO_SIMD=1 rerun
+// pin the scalar path they fall back to.
 
 #include <cstdint>
 #include <vector>
@@ -36,49 +37,93 @@ std::vector<ElementId> RandomElements(Rng& rng, std::size_t n) {
   return elems;
 }
 
-// k values straddling the AVX2 width (4 lanes): scalar-only tails, exact
-// multiples, and the paper's k = 100.
-const std::size_t kLaneCounts[] = {1, 2, 3, 4, 5, 7, 8, 100};
+// k values straddling both vector widths (4 and 8 lanes): tails of every
+// length, exact multiples, and the paper's k = 100.
+const std::size_t kLaneCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100};
 // Element counts covering empty sets, single elements, and long runs.
 const std::size_t kElementCounts[] = {0, 1, 2, 5, 31, 257};
 
-TEST(DispatchParityTest, ClassicKernelsAreBitIdentical) {
-  Rng rng(21);
+using ClassicKernel = void (*)(const std::uint64_t*, std::size_t,
+                               const ElementId*, std::size_t,
+                               std::uint64_t*);
+using CMinKernel = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
+                            std::size_t, std::uint64_t*);
+
+// `kernel` against ClassicMinScalar over the lane × element grid, once over
+// the whole set and once split in two runs that continue each other's
+// minima.
+void ExpectClassicMatchesScalar(ClassicKernel kernel, std::uint64_t seed) {
+  Rng rng(seed);
   for (std::size_t k : kLaneCounts) {
     const std::vector<std::uint64_t> derived = RandomWords(rng, k);
     for (std::size_t n : kElementCounts) {
       const std::vector<ElementId> elems = RandomElements(rng, n);
       std::vector<std::uint64_t> scalar(k, UINT64_MAX);
-      std::vector<std::uint64_t> vectorized(k, UINT64_MAX);
-      std::vector<std::uint64_t> automatic(k, UINT64_MAX);
+      std::vector<std::uint64_t> whole(k, UINT64_MAX);
+      std::vector<std::uint64_t> split(k, UINT64_MAX);
       simd::ClassicMinScalar(derived.data(), k, elems.data(), n,
                              scalar.data());
-      simd::ClassicMinAvx2(derived.data(), k, elems.data(), n,
-                           vectorized.data());
-      simd::ClassicMinAuto(derived.data(), k, elems.data(), n,
-                           automatic.data());
-      ASSERT_EQ(scalar, vectorized) << "k=" << k << " n=" << n;
-      ASSERT_EQ(scalar, automatic) << "k=" << k << " n=" << n;
+      kernel(derived.data(), k, elems.data(), n, whole.data());
+      kernel(derived.data(), k, elems.data(), n / 2, split.data());
+      kernel(derived.data(), k, elems.data() + n / 2, n - n / 2,
+             split.data());
+      ASSERT_EQ(scalar, whole) << "k=" << k << " n=" << n;
+      ASSERT_EQ(scalar, split) << "split k=" << k << " n=" << n;
     }
   }
 }
 
-TEST(DispatchParityTest, CMinKernelsAreBitIdentical) {
-  Rng rng(22);
+// `kernel` against CMinScalar over the same grid. Both halves of a split
+// run see the same lanes, so the same step.
+void ExpectCMinMatchesScalar(CMinKernel kernel, std::uint64_t seed) {
+  Rng rng(seed);
   for (std::size_t k : kLaneCounts) {
     for (std::size_t n : kElementCounts) {
       const std::vector<std::uint64_t> z = RandomWords(rng, n);
       const std::uint64_t step = rng.Next() | 1;  // must be odd
       std::vector<std::uint64_t> scalar(k, UINT64_MAX);
-      std::vector<std::uint64_t> vectorized(k, UINT64_MAX);
-      std::vector<std::uint64_t> automatic(k, UINT64_MAX);
+      std::vector<std::uint64_t> whole(k, UINT64_MAX);
+      std::vector<std::uint64_t> split(k, UINT64_MAX);
       simd::CMinScalar(z.data(), n, step, k, scalar.data());
-      simd::CMinAvx2(z.data(), n, step, k, vectorized.data());
-      simd::CMinAuto(z.data(), n, step, k, automatic.data());
-      ASSERT_EQ(scalar, vectorized) << "k=" << k << " n=" << n;
-      ASSERT_EQ(scalar, automatic) << "k=" << k << " n=" << n;
+      kernel(z.data(), n, step, k, whole.data());
+      kernel(z.data(), n / 2, step, k, split.data());
+      kernel(z.data() + n / 2, n - n / 2, step, k, split.data());
+      ASSERT_EQ(scalar, whole) << "k=" << k << " n=" << n;
+      ASSERT_EQ(scalar, split) << "split k=" << k << " n=" << n;
     }
   }
+}
+
+TEST(DispatchParityTest, ClassicKernelsAreBitIdentical) {
+  if (!simd::Avx2Runtime()) GTEST_SKIP() << "AVX2 kernels do not run here";
+  ExpectClassicMatchesScalar(simd::ClassicMinAvx2, 21);
+}
+
+TEST(DispatchParityTest, ClassicAvx512KernelIsBitIdentical) {
+  if (!simd::Avx512Runtime()) {
+    GTEST_SKIP() << "AVX-512 kernels do not run here";
+  }
+  ExpectClassicMatchesScalar(simd::ClassicMinAvx512, 26);
+}
+
+TEST(DispatchParityTest, ClassicAutoIsBitIdentical) {
+  ExpectClassicMatchesScalar(simd::ClassicMinAuto, 27);
+}
+
+TEST(DispatchParityTest, CMinKernelsAreBitIdentical) {
+  if (!simd::Avx2Runtime()) GTEST_SKIP() << "AVX2 kernels do not run here";
+  ExpectCMinMatchesScalar(simd::CMinAvx2, 22);
+}
+
+TEST(DispatchParityTest, CMinAvx512KernelIsBitIdentical) {
+  if (!simd::Avx512Runtime()) {
+    GTEST_SKIP() << "AVX-512 kernels do not run here";
+  }
+  ExpectCMinMatchesScalar(simd::CMinAvx512, 28);
+}
+
+TEST(DispatchParityTest, CMinAutoIsBitIdentical) {
+  ExpectCMinMatchesScalar(simd::CMinAuto, 29);
 }
 
 // The scalar kernels themselves are pinned against a from-scratch loop, so
@@ -117,29 +162,19 @@ TEST(DispatchParityTest, ScalarCMinMatchesDefinition) {
   }
 }
 
-// Kernels with pre-seeded minima continue a split set: running the kernel
-// over two halves must equal one run over the whole.
-TEST(DispatchParityTest, SplitRunsCompose) {
-  Rng rng(25);
-  const std::size_t k = 100, n = 64;
-  const std::vector<std::uint64_t> derived = RandomWords(rng, k);
-  const std::vector<ElementId> elems = RandomElements(rng, n);
-  std::vector<std::uint64_t> whole(k, UINT64_MAX);
-  std::vector<std::uint64_t> split(k, UINT64_MAX);
-  simd::ClassicMinAuto(derived.data(), k, elems.data(), n, whole.data());
-  simd::ClassicMinAuto(derived.data(), k, elems.data(), n / 2, split.data());
-  simd::ClassicMinAuto(derived.data(), k, elems.data() + n / 2, n - n / 2,
-                       split.data());
-  EXPECT_EQ(whole, split);
-}
-
 TEST(DispatchParityTest, RuntimeDispatchIsConsistent) {
-  // Runtime AVX2 can only be on if the kernels were compiled in; the
-  // queried value is stable across calls (resolved once per process).
+  // A level runs only if its kernels were compiled in (both levels build
+  // under the one SSR_SIMD_AVX2 define), AVX-512 only on top of AVX2, and
+  // the queried values are stable across calls (resolved once per process).
   if (simd::Avx2Runtime()) {
     EXPECT_TRUE(simd::Avx2Compiled());
   }
+  if (simd::Avx512Runtime()) {
+    EXPECT_TRUE(simd::Avx2Compiled());
+    EXPECT_TRUE(simd::Avx2Runtime());
+  }
   EXPECT_EQ(simd::Avx2Runtime(), simd::Avx2Runtime());
+  EXPECT_EQ(simd::Avx512Runtime(), simd::Avx512Runtime());
 }
 
 }  // namespace

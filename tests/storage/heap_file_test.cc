@@ -176,8 +176,7 @@ std::string OnePageSnapshot(const Page& page) {
   EXPECT_TRUE(snapshot.EndSection().ok());
   snapshot.BeginSection("spanmap").WriteVector(std::vector<std::uint8_t>{0});
   EXPECT_TRUE(snapshot.EndSection().ok());
-  snapshot.BeginSection("recdir").WriteVector(
-      std::vector<RecordLocator>{RecordLocator{0, 0}});
+  WriteLocators(snapshot.BeginSection("recdir"), {RecordLocator{0, 0}});
   EXPECT_TRUE(snapshot.EndSection().ok());
   BinaryWriter& pages = snapshot.BeginSection("pages");
   pages.WriteU32(Crc32(page.data(), kPageSize));

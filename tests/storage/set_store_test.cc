@@ -1,7 +1,11 @@
 #include "storage/set_store.h"
 
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -177,7 +181,7 @@ std::string StoreSnapshot(SetId next_sid, const std::vector<SetId>& live,
   EXPECT_TRUE(snapshot.EndSection().ok());
   BinaryWriter& live_sec = snapshot.BeginSection("live");
   live_sec.WriteVector(live);
-  live_sec.WriteVector(locators);
+  WriteLocators(live_sec, locators);
   EXPECT_TRUE(snapshot.EndSection().ok());
   EXPECT_TRUE(snapshot.Finish().ok());
   EXPECT_TRUE(heap.SaveTo(out).ok());
@@ -230,6 +234,117 @@ TEST_F(SetStoreLoadTest, RepeatedLiveSidIsCorruption) {
           .IsCorruption());
 }
 
+// Inline and spanned records and one deleted sid, so a snapshot carries
+// locators of both kinds in "live" and "recdir".
+SetStore MixedStore() {
+  SetStore store;
+  for (SetId k = 0; k < 40; ++k) {
+    EXPECT_TRUE(store.Add(MakeSet(k % 13 == 0 ? 700 : 1 + k, 1000 * k)).ok());
+  }
+  EXPECT_TRUE(store.Delete(7).ok());
+  return store;
+}
+
+std::string Saved(const SetStore& store) {
+  std::ostringstream out;
+  EXPECT_TRUE(store.SaveTo(out).ok());
+  return out.str();
+}
+
+// Copies a store snapshot (the store's framed snapshot, then the heap's)
+// through the library's own snapshot reader and writer, passing each
+// section's payload through `edit`. Lengths, CRCs and footers are derived
+// afresh, so the copy differs from `bytes` only by the edit.
+std::string Reframe(
+    const std::string& bytes,
+    const std::function<void(const std::string&, std::string*)>& edit) {
+  struct Frame {
+    std::string_view magic;
+    std::vector<std::string> sections;
+  };
+  const Frame frames[] = {{"SSRSTORE", {"meta", "live"}},
+                          {"SSRHEAP", {"meta", "spanmap", "recdir", "pages"}}};
+  std::istringstream in(bytes);
+  std::ostringstream out;
+  for (const Frame& frame : frames) {
+    SnapshotReader reader(in);
+    std::uint32_t version = 0;
+    EXPECT_TRUE(reader.ReadHeader(frame.magic, &version).ok());
+    SnapshotWriter writer(out, frame.magic, version);
+    for (const std::string& name : frame.sections) {
+      std::string payload;
+      EXPECT_TRUE(reader.ReadSection(name, &payload).ok()) << name;
+      edit(name, &payload);
+      writer.BeginSection(name).WriteBytes(payload.data(), payload.size());
+      EXPECT_TRUE(writer.EndSection().ok());
+    }
+    EXPECT_TRUE(reader.VerifyFooter().ok());
+    EXPECT_TRUE(writer.Finish().ok());
+  }
+  return out.str();
+}
+
+std::uint64_t GetU64(const std::string& bytes, std::size_t off) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + off, sizeof(v));
+  return v;
+}
+
+// Offsets of the 2-byte locator pads in a "live" or "recdir" payload:
+// "live" holds the live sids (u64 count, u32 each) ahead of its locators,
+// and each run of 8-byte locators follows its own u64 count.
+std::vector<std::size_t> LocatorPadOffsets(const std::string& section,
+                                           const std::string& payload) {
+  if (section != "live" && section != "recdir") return {};
+  const std::size_t first =
+      section == "live" ? 8 + 4 * GetU64(payload, 0) : 0;
+  std::vector<std::size_t> pads;
+  for (std::uint64_t i = 0; i < GetU64(payload, first); ++i) {
+    pads.push_back(first + 8 + 8 * i + 6);
+  }
+  return pads;
+}
+
+TEST(SetStoreSnapshotTest, EqualStoresSaveIdenticalBytesWithZeroPads) {
+  // Compared with == so that a failure does not print both snapshots.
+  const std::string first = Saved(MixedStore());
+  EXPECT_TRUE(first == Saved(MixedStore()));
+  std::size_t pads = 0;
+  Reframe(first, [&](const std::string& name, std::string* payload) {
+    for (const std::size_t off : LocatorPadOffsets(name, *payload)) {
+      ++pads;
+      EXPECT_EQ(payload->substr(off, 2), std::string(2, '\0'))
+          << name << " pad at " << off;
+    }
+  });
+  EXPECT_EQ(pads, 39u + 40);  // 39 live locators, then 40 in "recdir"
+}
+
+TEST(SetStoreSnapshotTest, NonZeroLocatorPadsStillLoad) {
+  const std::string clean = Saved(MixedStore());
+  const std::string poisoned =
+      Reframe(clean, [](const std::string& name, std::string* payload) {
+        for (const std::size_t off : LocatorPadOffsets(name, *payload)) {
+          payload->replace(off, 2, "\xa5\x5a");
+        }
+      });
+  ASSERT_TRUE(poisoned != clean);
+  std::istringstream in(poisoned);
+  auto loaded = SetStore::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SetStore expected = MixedStore();
+  for (SetId sid = 0; sid < 40; ++sid) {
+    auto got = loaded->Get(sid);
+    auto want = expected.Get(sid);
+    ASSERT_EQ(got.ok(), want.ok()) << "sid " << sid;
+    if (want.ok()) {
+      EXPECT_EQ(got.value(), want.value()) << "sid " << sid;
+    }
+  }
+  // The pads are rewritten as zero on the next save.
+  EXPECT_TRUE(Saved(loaded.value()) == clean);
+}
+
 // The set the writer below adds as its k-th set: sizes vary, and every
 // 64th set spans pages.
 ElementSet RacedSet(SetId k) {
@@ -247,7 +362,7 @@ TEST(SetStoreTest, ReadViewsRaceAddAndDelete) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
-      SetStore::ReadView view(store, 8);
+      SetStore::ReadView view(store);
       Rng rng(100 + r);
       started.fetch_add(1);
       while (!done.load(std::memory_order_acquire)) {

@@ -48,13 +48,13 @@ TEST(SerializeTest, StringsAndVectorsRoundTrip) {
   writer.WriteString("similar sets");
   writer.WriteString("");
   writer.WriteVector(std::vector<std::uint32_t>{1, 2, 3});
-  writer.WriteVector(std::vector<double>{});
+  writer.WriteVector(std::vector<std::uint16_t>{});
   ASSERT_TRUE(writer.ok());
 
   BinaryReader reader(buffer);
   std::string s1, s2;
   std::vector<std::uint32_t> v1;
-  std::vector<double> v2;
+  std::vector<std::uint16_t> v2;
   ASSERT_TRUE(reader.ReadString(&s1).ok());
   ASSERT_TRUE(reader.ReadString(&s2).ok());
   ASSERT_TRUE(reader.ReadVector(&v1).ok());

@@ -108,9 +108,9 @@ def env_summary(report):
     env = report.get("env", {})
     if not isinstance(env, dict):
         return "?"
-    return "{} / {} / {}".format(
+    return "{} / {} / {} / simd={}".format(
         env.get("git_sha", "?"), env.get("compiler", "?"),
-        env.get("cpu_model", "?"))
+        env.get("cpu_model", "?"), env.get("simd", "?"))
 
 
 def main(argv):

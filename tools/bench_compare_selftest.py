@@ -18,6 +18,8 @@ Exercises the exit-code contract on synthetic trajectory points:
   * *_burn_rate tripled -> exit 1 (error-budget burn, lower-is-better)
   * churn suite directions: mutation ops/sec and rebalance *_moves_per_sec
     halved -> exit 1 (throughputs), reader *_p99_micros doubled -> exit 1
+  * signing ns drop under another SIMD kernel level -> exit 0, and the
+    env summaries name both levels
   * legacy point (no schema_version/env, missing scalar) -> exit 0
 """
 
@@ -31,7 +33,8 @@ BASE = {
     "schema_version": 2,
     "bench": "selftest",
     "env": {"git_sha": "abc", "compiler": "gcc", "cpu_model": "cpu",
-            "num_cores": 1, "governor": "performance", "os": "linux"},
+            "num_cores": 1, "governor": "performance", "os": "linux",
+            "simd": "avx2"},
     "params": {"quick": True},
     "scalars": {
         "micro_jaccard_ns": 100.0,
@@ -227,11 +230,17 @@ def main():
                       write(tmp, "moves_up.json", faster_moves))
         check("rebalance rate gain is an improvement", 0, rc, out)
 
+        # A sign_ns drop from a wider kernel: the env summary names both
+        # kernel levels, so the delta reads as a machine difference.
         faster_sign = json.loads(json.dumps(BASE))
         faster_sign["scalars"]["signing_classic_sign_ns"] = 6000.0
+        faster_sign["env"]["simd"] = "avx512"
         rc, out = run(compare, base,
                       write(tmp, "sign_down.json", faster_sign))
         check("sign ns drop is an improvement", 0, rc, out)
+        if ("simd=avx2" not in out or "simd=avx512" not in out
+                or "env fingerprints differ" not in out):
+            failures.append(f"kernel level: not in the env summary\n{out}")
 
         legacy = {"bench": "selftest",
                   "scalars": {"micro_jaccard_ns": 101.0}}
