@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "eval/run_report.h"
 #include "obs/chrome_trace.h"
@@ -69,6 +70,13 @@ class Flags {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     return it->second != "0" && it->second != "false";
+  }
+
+  /// The name of every --flag given, sorted, each once.
+  std::vector<std::string> Names() const {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : values_) names.push_back(name);
+    return names;
   }
 
  private:

@@ -9,22 +9,8 @@
 // compare "env" fingerprints) chart the repo's perf trajectory;
 // tools/bench_compare.py diffs two points and flags regressions.
 //
-// Flags:
-//   --quick           smaller workloads (CI smoke; noisier numbers)
-//   --list            print the suite table and exit
-//   --only=<suite>    run a single suite from the table (--list shows it);
-//                     an unknown name is a hard error (exit 2), checked
-//                     before any suite runs
-//   --serve           start the live introspection HTTP endpoint for the
-//                     run (curl /metrics, /healthz, /statusz, /tracez,
-//                     /varz while suites execute)
-//   --serve_port=<p>  port for --serve (default 0 = ephemeral, printed)
-//   --serve_linger=<s> keep serving s seconds after the suites finish
-//                     (CI smoke scrapes the live process)
-//   --out=<dir>       directory for BENCH_<n>.json (default ".", created)
-//   --json=<path>     exact artifact path (overrides --out numbering)
-//   --trace=<path>    also write a Chrome trace (chrome://tracing)
-//   --label=<text>    free-form tag stored in params
+// Flags: kFlags below; --help prints them. Any other --flag prints the
+// usage to stderr and exits 2 before a suite starts.
 //
 // Counter profiling degrades down the ladder in obs/perf_counters.h when
 // perf_event_open is denied; SSR_PERF_COUNTERS=off forces the run to
@@ -1434,7 +1420,59 @@ void PrintSuites(std::FILE* out) {
   }
 }
 
+/// Every flag the runner reads.
+struct FlagDoc {
+  const char* name;
+  const char* value;  // "" for a bare flag
+  const char* help;
+};
+
+constexpr FlagDoc kFlags[] = {
+    {"quick", "", "smaller workloads (CI smoke; noisier numbers)"},
+    {"list", "", "print the suite table and exit"},
+    {"only", "<suite>",
+     "run one suite from the table (--list shows it); an unknown name "
+     "exits 2 before any suite runs"},
+    {"serve", "",
+     "serve the live introspection HTTP endpoint (/metrics, /healthz, "
+     "/statusz, /tracez, /varz) while the suites run"},
+    {"serve_port", "<p>", "port for --serve (default 0 = ephemeral, printed)"},
+    {"serve_linger", "<s>",
+     "keep serving s seconds after the suites finish (CI smoke scrapes the "
+     "live process)"},
+    {"out", "<dir>", "directory for BENCH_<n>.json (default \".\", created)"},
+    {"json", "<path>", "exact artifact path (overrides --out numbering)"},
+    {"trace", "<path>", "also write a Chrome trace (chrome://tracing)"},
+    {"label", "<text>", "free-form tag stored in params"},
+    {"help", "", "print this usage and exit"},
+};
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "usage: ssr_benchrunner [flags]\n");
+  for (const FlagDoc& flag : kFlags) {
+    std::string spec = std::string("--") + flag.name;
+    if (flag.value[0] != '\0') spec += std::string("=") + flag.value;
+    std::fprintf(out, "  %-20s %s\n", spec.c_str(), flag.help);
+  }
+}
+
 int Run(const bench::Flags& flags) {
+  if (flags.GetBool("help")) {
+    PrintUsage(stdout);
+    return 0;
+  }
+  for (const std::string& name : flags.Names()) {
+    const bool known =
+        std::any_of(std::begin(kFlags), std::end(kFlags),
+                    [&name](const FlagDoc& flag) { return name == flag.name; });
+    if (!known) {
+      // Checked before any suite runs, like an unknown --only suite: a
+      // typo'd flag must not start the full-size suite.
+      std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
+      PrintUsage(stderr);
+      return 2;
+    }
+  }
   if (flags.GetBool("list")) {
     PrintSuites(stdout);
     return 0;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "fault/fault_injector.h"
-#include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/mathutil.h"
 
@@ -125,15 +124,10 @@ bool SidHashTable::Erase(std::uint64_t key_hash, SetId sid) {
 
 std::size_t SidHashTable::Probe(std::uint64_t key_hash,
                                 std::vector<SetId>* out) const {
-  // Process-wide probe accounting shared by every table (the per-instance
-  // bucket_accesses_ counter stays for targeted diagnostics). The pointers
-  // are fetched once; registry instruments have stable addresses.
-  static obs::Counter* const probes = obs::MetricsRegistry::Default().GetCounter(
-      "ssr_hash_bucket_probes_total");
-  static obs::Counter* const scanned =
-      obs::MetricsRegistry::Default().GetCounter("ssr_hash_sids_scanned_total");
+  // Per-table diagnostics only: SetSimilarityIndex::ProbeFi counts the
+  // accesses and scanned sids of a whole filter probe into the index's
+  // instruments.
   bucket_accesses_.fetch_add(1, std::memory_order_relaxed);
-  probes->Increment();
   // Latency-only fault site: a kLatency schedule here simulates a slow
   // bucket page. Error kinds are deliberately ignored — the in-memory table
   // itself cannot fail; loss is modeled one level up ("sfi/probe_table").
@@ -152,7 +146,6 @@ std::size_t SidHashTable::Probe(std::uint64_t key_hash,
               }
               bucket_size = count;
             });
-  if (bucket_size > 0) scanned->Add(bucket_size);
   return bucket_size;
 }
 

@@ -1064,6 +1064,7 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
         fetch_failures_->Increment();
         result.stats.degraded = true;
         if (options_.degrade == DegradeMode::kFailFast) {
+          sets_fetched_->Add(result.stats.sets_fetched);
           return Status::Unavailable("candidate fetch failed (fail-fast)");
         }
         if (options_.degrade == DegradeMode::kSequentialFallback) {
@@ -1073,12 +1074,12 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
         continue;  // kPartialResults: skip, answer stays tagged degraded
       }
       result.stats.sets_fetched += 1;
-      sets_fetched_->Increment();
       const double sim = Jaccard(set.value(), query);
       if (sim >= sigma1 - kEps && sim <= sigma2 + kEps) {
         result.sids.push_back(sid);
       }
     }
+    sets_fetched_->Add(result.stats.sets_fetched);
     verify_span.Tag("fetched",
                     static_cast<std::uint64_t>(result.stats.sets_fetched));
   }

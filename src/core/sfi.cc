@@ -1,6 +1,8 @@
 #include "core/sfi.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
@@ -70,6 +72,35 @@ std::size_t SimilarityFilterIndex::Erase(SetId sid, const Signature& sig) {
   return removed;
 }
 
+void SortUniqueSids(std::vector<SetId>* sids) {
+  // One bit per sid, plus the indices of the words holding a bit. Both are
+  // sized before the first bit is set, so nothing below can throw with a
+  // bit set, and every set bit is cleared again as it is emitted.
+  thread_local std::vector<std::uint64_t> words;
+  thread_local std::vector<std::uint32_t> touched;
+  if (sids->empty()) return;
+  const SetId max_sid = *std::max_element(sids->begin(), sids->end());
+  const std::size_t num_words = static_cast<std::size_t>(max_sid) / 64 + 1;
+  if (words.size() < num_words) words.resize(num_words, 0);
+  touched.clear();
+  touched.reserve(std::min(sids->size(), num_words));
+  for (SetId sid : *sids) {
+    std::uint64_t& word = words[sid / 64];
+    if (word == 0) touched.push_back(sid / 64);
+    word |= std::uint64_t{1} << (sid % 64);
+  }
+  std::sort(touched.begin(), touched.end());
+  // The union is no longer than the input, so the emit stays within the
+  // vector's capacity.
+  sids->clear();
+  for (std::uint32_t w : touched) {
+    for (std::uint64_t bits = std::exchange(words[w], 0); bits != 0;
+         bits &= bits - 1) {
+      sids->push_back(w * 64 + static_cast<SetId>(std::countr_zero(bits)));
+    }
+  }
+}
+
 std::vector<SetId> SimilarityFilterIndex::SimVector(
     const Signature& query, bool complemented, SfiProbeStats* stats) const {
   std::vector<SetId> out;
@@ -108,8 +139,7 @@ void SimilarityFilterIndex::SimVectorInto(const Signature& query,
     scanned += bucket_size;
     pages += 1 + (bucket_size > 0 ? (bucket_size - 1) / sids_per_page : 0);
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  SortUniqueSids(out);
   if (stats != nullptr) {
     stats->bucket_accesses = tables_.size();
     stats->bucket_pages = pages;

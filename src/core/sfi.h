@@ -53,6 +53,14 @@ struct SfiProbeStats {
                                     // then a subset of the true SimVector
 };
 
+/// Sorts `*sids` and drops its duplicates, as std::sort + std::unique
+/// would: the probe union of SimVectorInto. One pass sets a bit per sid in
+/// a per-thread bitmap; only the distinct 64-sid words it touched are
+/// sorted, then emitted in order. The bitmap holds one bit per sid up to
+/// the largest sid the thread has seen, and is all-zero whenever the call
+/// returns.
+void SortUniqueSids(std::vector<SetId>* sids);
+
 /// The Similarity Filter Index primitive.
 class SimilarityFilterIndex {
  public:
@@ -92,7 +100,7 @@ class SimilarityFilterIndex {
   std::size_t Erase(SetId sid, const Signature& sig);
 
   /// SimVector(s*, q): the union of the l probed buckets, sorted and
-  /// deduplicated. If `complemented`, probes with the complement of the
+  /// deduplicated (SortUniqueSids). If `complemented`, probes with the complement of the
   /// query's embedded vector (the DFI path, Theorem 2).
   std::vector<SetId> SimVector(const Signature& query,
                                bool complemented = false,

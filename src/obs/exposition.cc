@@ -29,7 +29,9 @@ const MetricHelpEntry kHelpTable[] = {
      "Buffer pool page lookups that required a disk read."},
     {"ssr_degraded_queries_total",
      "Queries answered in degraded mode (partial results)."},
-    {"ssr_dfi_probes_total", "Probes against dynamic frequency indices."},
+    {"ssr_dfi_probes_total",
+     "Probes of dissimilarity filter indices (complemented SimVector "
+     "probes)."},
     {"ssr_exec_batch_queries_total",
      "Queries executed through the batch executor."},
     {"ssr_exec_batches_total", "Batches executed by the batch executor."},
@@ -37,10 +39,6 @@ const MetricHelpEntry kHelpTable[] = {
     {"ssr_fault_injected_total", "Faults injected by the fault harness."},
     {"ssr_fault_latency_injected_total",
      "Artificial latency delays injected by the fault harness."},
-    {"ssr_hash_bucket_probes_total",
-     "Bucket probes against in-memory hash tables."},
-    {"ssr_hash_sids_scanned_total",
-     "Set ids scanned while probing hash-table buckets."},
     {"ssr_health_verdict",
      "Current health verdict (0 healthy, 1 degraded, 2 unhealthy)."},
     {"ssr_index_bucket_accesses_total",
@@ -108,7 +106,7 @@ const MetricHelpEntry kHelpTable[] = {
      "full."},
     {"ssr_server_requests_total",
      "HTTP requests served by the introspection server."},
-    {"ssr_sfi_probes_total", "Probes against static frequency indices."},
+    {"ssr_sfi_probes_total", "Probes of similarity filter indices."},
     {"ssr_shadow_offered_total",
      "Queries offered to the shadow oracle sampler."},
     {"ssr_shadow_sampled_total",
@@ -122,8 +120,6 @@ const MetricHelpEntry kHelpTable[] = {
     {"ssr_slo_p99_micros",
      "Windowed p99 latency estimate in microseconds."},
     {"ssr_store_fetch_failures_total", "Set fetches that failed."},
-    {"ssr_store_get_latency_micros",
-     "Set-store point lookup latency in microseconds."},
     {"ssr_store_gets_total", "Point lookups against the set store."},
     {"ssr_store_heap_pages", "Heap pages owned by the set store."},
     {"ssr_store_live_sets", "Sets currently stored."},
@@ -146,15 +142,15 @@ const MetricHelpEntry kHelpTable[] = {
      "Shards quarantined during WAL-coupled salvage recovery."},
     {"ssr_wal_syncs_total", "WAL sync (fsync) operations."},
     {"ssr_workload_fi_bucket_accesses_total",
-     "Frequency-index bucket accesses observed by the workload plane."},
+     "Filter-index bucket accesses observed by the workload plane."},
     {"ssr_workload_fi_failed_probes_total",
-     "Failed frequency-index probes observed by the workload plane."},
+     "Failed filter-index probes observed by the workload plane."},
     {"ssr_workload_fi_probes_total",
-     "Frequency-index probes observed by the workload plane."},
+     "Filter-index probes observed by the workload plane."},
     {"ssr_workload_fi_selectivity",
-     "Observed frequency-index probe selectivity."},
+     "Observed filter-index probe selectivity."},
     {"ssr_workload_fi_sids_total",
-     "Set ids produced by frequency-index probes."},
+     "Set ids produced by filter-index probes."},
     {"ssr_workload_queries_total",
      "Queries captured by the workload observer."},
     {"ssr_workload_query_set_size",

@@ -5,7 +5,6 @@
 #include "fault/fault_injector.h"
 #include "util/serialize.h"
 #include "util/set_ops.h"
-#include "util/stopwatch.h"
 
 namespace ssr {
 
@@ -40,8 +39,6 @@ SetStore::SetStore(SetStoreOptions options)
       registry.GetCounter("ssr_store_fetch_failures_total", scope);
   live_sets_ = registry.GetGauge("ssr_store_live_sets", scope);
   heap_pages_ = registry.GetGauge("ssr_store_heap_pages", scope);
-  get_latency_hist_ = registry.GetHistogram("ssr_store_get_latency_micros",
-                                            scope, obs::LatencyBoundsMicros());
 }
 
 SetStore::SetStore(SetStore&& other) noexcept
@@ -57,7 +54,6 @@ SetStore::SetStore(SetStore&& other) noexcept
       fetch_failures_(other.fetch_failures_),
       live_sets_(other.live_sets_),
       heap_pages_(other.heap_pages_),
-      get_latency_hist_(other.get_latency_hist_),
       live_bytes_(other.live_bytes_) {
   other.live_.clear();
   other.live_count_ = 0;
@@ -78,7 +74,6 @@ SetStore& SetStore::operator=(SetStore&& other) noexcept {
     fetch_failures_ = other.fetch_failures_;
     live_sets_ = other.live_sets_;
     heap_pages_ = other.heap_pages_;
-    get_latency_hist_ = other.get_latency_hist_;
     live_bytes_ = other.live_bytes_;
     other.live_.clear();
     other.live_count_ = 0;
@@ -121,7 +116,6 @@ Result<ElementSet> SetStore::Get(SetId sid) {
 Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
                                        IoCostModel& io) const {
   gets_->Increment();
-  Stopwatch watch;
   if (!IsLiveLocked(sid)) {
     return Status::NotFound("sid " + std::to_string(sid) + " not live");
   }
@@ -145,7 +139,6 @@ Result<ElementSet> SetStore::GetLocked(SetId sid, BufferPool& pool,
         return set;
       });
   if (!result.ok()) fetch_failures_->Increment();
-  get_latency_hist_->Observe(static_cast<double>(watch.ElapsedMicros()));
   return result;
 }
 

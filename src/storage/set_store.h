@@ -65,9 +65,8 @@ class SetStore {
   /// the bitmap and the heap under the store's shared lock (writers grow
   /// them under the exclusive lock), and the only mutable state it touches
   /// is its own. The batch executor gives each worker one view and merges
-  /// io_stats() deltas into per-query stats; process-wide store counters
-  /// (gets, failures, latency) are still shared, which is safe (relaxed
-  /// atomics).
+  /// io_stats() deltas into per-query stats; the store's counters (gets,
+  /// failures) are still shared, which is safe (relaxed atomics).
   ///
   /// A view is meant to outlive many queries: the batch executor keeps one
   /// per worker, the query router one per (worker, shard), each for its
@@ -225,7 +224,6 @@ class SetStore {
   obs::Counter* fetch_failures_;  // ssr_store_fetch_failures_total
   obs::Gauge* live_sets_;         // ssr_store_live_sets
   obs::Gauge* heap_pages_;        // ssr_store_heap_pages
-  obs::Histogram* get_latency_hist_;  // ssr_store_get_latency_micros
   std::uint64_t live_bytes_ = 0;
 };
 

@@ -19,11 +19,14 @@ bool IsNormalizedSet(const ElementSet& s) {
 }
 
 std::size_t IntersectionSize(const ElementSet& a, const ElementSet& b) {
-  return simd::Avx2Runtime()
-             ? simd::IntersectionSizeAvx2(a.data(), a.size(), b.data(),
-                                          b.size())
-             : simd::IntersectionSizeScalar(a.data(), a.size(), b.data(),
-                                            b.size());
+  if (simd::Avx512Runtime()) {
+    return simd::IntersectionSizeAvx512(a.data(), a.size(), b.data(),
+                                        b.size());
+  }
+  if (simd::Avx2Runtime()) {
+    return simd::IntersectionSizeAvx2(a.data(), a.size(), b.data(), b.size());
+  }
+  return simd::IntersectionSizeScalar(a.data(), a.size(), b.data(), b.size());
 }
 
 std::size_t UnionSize(const ElementSet& a, const ElementSet& b) {

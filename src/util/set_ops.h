@@ -19,9 +19,9 @@ void NormalizeSet(ElementSet& s);
 /// Returns true iff `s` is sorted and duplicate-free.
 bool IsNormalizedSet(const ElementSet& s);
 
-/// |a ∩ b| for normalized sets: a linear merge, run by the AVX2 block
-/// kernel when the CPU has it and by the branch-free scalar one otherwise
-/// (util/simd.h).
+/// |a ∩ b| for normalized sets: a linear merge, run by the widest block
+/// kernel the SIMD gate allows (AVX-512, else AVX2) and by the branch-free
+/// scalar one otherwise (util/simd.h).
 std::size_t IntersectionSize(const ElementSet& a, const ElementSet& b);
 
 /// |a ∪ b| for normalized sets.

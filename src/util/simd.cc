@@ -93,10 +93,40 @@ __attribute__((target("avx2"))) std::size_t IntersectionSizeAvx2(
   return count + IntersectionSizeScalar(a + i, na - i, b + j, nb - j);
 }
 
+__attribute__((target("avx512f"))) std::size_t IntersectionSizeAvx512(
+    const ElementId* a, std::size_t na, const ElementId* b, std::size_t nb) {
+  // As IntersectionSizeAvx2 with 8×8 blocks: each of the eight ids of `a`'s
+  // block, broadcast, is compared with all eight ids of `b`'s block. An id
+  // of `a` matches at most one lane and distinct ids match distinct lanes,
+  // so the OR of the eight lane masks has one bit per matched id.
+  std::size_t count = 0;
+  std::size_t i = 0, j = 0;
+  while (i + 8 <= na && j + 8 <= nb) {
+    const __m512i vb = _mm512_loadu_si512(b + j);
+    __mmask8 hits = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      hits |= _mm512_cmpeq_epi64_mask(
+          _mm512_set1_epi64(static_cast<long long>(a[i + k])), vb);
+    }
+    count += static_cast<std::size_t>(std::popcount(
+        static_cast<unsigned>(hits)));
+    const ElementId a_last = a[i + 7];
+    const ElementId b_last = b[j + 7];
+    i += a_last <= b_last ? 8 : 0;
+    j += b_last <= a_last ? 8 : 0;
+  }
+  return count + IntersectionSizeAvx2(a + i, na - i, b + j, nb - j);
+}
+
 #else  // !SSR_SIMD_AVX2
 
 std::size_t IntersectionSizeAvx2(const ElementId* a, std::size_t na,
                                  const ElementId* b, std::size_t nb) {
+  return IntersectionSizeScalar(a, na, b, nb);
+}
+
+std::size_t IntersectionSizeAvx512(const ElementId* a, std::size_t na,
+                                   const ElementId* b, std::size_t nb) {
   return IntersectionSizeScalar(a, na, b, nb);
 }
 

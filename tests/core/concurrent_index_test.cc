@@ -1,9 +1,9 @@
 // Concurrency contracts of the single SetSimilarityIndex after
 // EnableConcurrentWrites: the monotonic-reads regression (a thread that
 // inserts a set observes it on its very next query — the copy-on-write
-// publication never lags its own writer), erase visibility, and a
-// readers-vs-writers stress where full-range queries run against live
-// Insert/Erase churn. Labeled tsan-critical: the stress slice is the
+// publication never lags its own writer), erase visibility, per-thread
+// probe unions that match the serial ones, and a readers-vs-writers stress
+// where full-range queries run against live Insert/Erase churn. Labeled tsan-critical: the stress slice is the
 // single-index half of what the difftest churn schedule does at the
 // sharded layer.
 
@@ -177,6 +177,67 @@ TEST(ConcurrentIndexTest, WriterObservesItsOwnEraseImmediately) {
                                     *sid))
         << "iteration " << i << ": erased sid " << *sid << " still visible";
   }
+  em.Quiesce();
+}
+
+// The probe union runs through a per-thread bitmap (SortUniqueSids in
+// core/sfi.h). Three threads probing at once must each get exactly the
+// serial candidate lists: no bit may leak between threads or into a
+// thread's next query.
+TEST(ConcurrentIndexTest, ThreadsQueryCandidatesMatchSerial) {
+  constexpr int kThreads = 3;
+  exec::EpochManager em;
+  Rng rng(20261020);
+  LiveIndex live = BuildLiveIndex(rng, 600, &em);
+
+  // Ranges whose plans probe the DFI, the SFIs or both; none falls through
+  // to the full-collection plan.
+  const double kRanges[][2] = {
+      {0.0, 0.3}, {0.2, 0.6}, {0.4, 1.0}, {0.5, 0.8}, {0.75, 1.0}};
+  struct Probe {
+    ElementSet query;
+    double sigma1, sigma2;
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < 40; ++i) {
+    const auto& range = kRanges[i % 5];
+    ElementSet query = i % 2 == 0
+                           ? live.store->Get(rng.Uniform(600)).value()
+                           : RandomSet(rng);
+    probes.push_back({std::move(query), range[0], range[1]});
+  }
+  std::vector<std::vector<SetId>> serial;
+  for (const Probe& p : probes) {
+    auto candidates = live.index->QueryCandidates(p.query, p.sigma1, p.sigma2);
+    ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
+    serial.push_back(candidates->sids);
+  }
+  // The unions span many 64-sid words.
+  std::size_t largest = 0;
+  for (const auto& sids : serial) largest = std::max(largest, sids.size());
+  ASSERT_GT(largest, 128u);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          // Each thread walks the probes from its own offset.
+          const std::size_t k = (i + 13 * static_cast<std::size_t>(t)) %
+                                probes.size();
+          const Probe& p = probes[k];
+          auto candidates =
+              live.index->QueryCandidates(p.query, p.sigma1, p.sigma2);
+          if (!candidates.ok() || candidates->sids != serial[k]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
   em.Quiesce();
 }
 

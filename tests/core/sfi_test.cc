@@ -1,6 +1,9 @@
 #include "core/sfi.h"
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +204,103 @@ TEST(SfiTest, ComplementedProbeMatchesComplementSemantics) {
 
 TEST(SfiTest, SidsPerPageMatchesPageSize) {
   EXPECT_EQ(SimilarityFilterIndex::SidsPerPage(), 4096u / sizeof(SetId));
+}
+
+// ---- SortUniqueSids, the probe union behind SimVectorInto.
+
+std::vector<SetId> StdSortUnique(std::vector<SetId> sids) {
+  std::sort(sids.begin(), sids.end());
+  sids.erase(std::unique(sids.begin(), sids.end()), sids.end());
+  return sids;
+}
+
+// A multiset of `n` sids below `span`, each repeated up to three times, in
+// random order, plus the word-boundary sids that fit below `span` and the
+// span's last sid.
+std::vector<SetId> RandomMultiset(Rng& rng, std::size_t n, SetId span) {
+  std::vector<SetId> sids;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SetId sid = static_cast<SetId>(rng.Uniform(span));
+    for (std::uint64_t c = rng.Uniform(3); c-- > 0;) sids.push_back(sid);
+    sids.push_back(sid);
+  }
+  for (SetId sid : {0u, 63u, 64u, 65u, 127u, 128u}) {
+    if (sid < span) sids.push_back(sid);
+  }
+  sids.push_back(span - 1);
+  rng.Shuffle(sids);
+  return sids;
+}
+
+void ExpectUnionMatchesStd(const std::vector<SetId>& input) {
+  std::vector<SetId> sids = input;
+  SortUniqueSids(&sids);
+  ASSERT_EQ(sids, StdSortUnique(input));
+}
+
+TEST(SortUniqueSidsTest, MatchesStdSortUniqueOnRandomMultisets) {
+  Rng rng(61);
+  for (SetId span : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 1000u, 4096u,
+                     10000u, 70001u}) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                          std::size_t{64}, std::size_t{300},
+                          std::size_t{9650}}) {
+      SCOPED_TRACE("span=" + std::to_string(span) +
+                   " n=" + std::to_string(n));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectUnionMatchesStd(RandomMultiset(rng, n, span)));
+    }
+  }
+}
+
+TEST(SortUniqueSidsTest, WordBoundariesAndEdges) {
+  ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd({}));
+  ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd({0}));
+  ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd({0, 0, 0}));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectUnionMatchesStd({128, 127, 65, 64, 63, 0, 64, 63, 128}));
+  // Every bit of one word, then of two adjacent words.
+  std::vector<SetId> full;
+  for (SetId sid = 192; sid-- > 64;) full.push_back(sid);
+  ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd(full));
+  // One sid far above the rest: the bitmap grows to it.
+  ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd({5, 1u << 20, 7, 5}));
+}
+
+// The bitmap is per thread and must be all-zero after every call: a bit
+// left set would surface as a sid the next call never passed in.
+TEST(SortUniqueSidsTest, BackToBackCallsOnOneThreadStartClean) {
+  Rng rng(62);
+  for (int round = 0; round < 50; ++round) {
+    const SetId span = static_cast<SetId>(1 + rng.Uniform(5000));
+    ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd(
+        RandomMultiset(rng, rng.Uniform(3000), span)));
+    // Disjoint from everything the previous call set.
+    std::vector<SetId> above = {span + 64, span + 1, span + 64};
+    ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd(above));
+    ASSERT_NO_FATAL_FAILURE(ExpectUnionMatchesStd({}));
+  }
+}
+
+TEST(SortUniqueSidsTest, ThreadsUnionAtOnce) {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      Rng rng(static_cast<std::uint64_t>(100 + t));
+      for (int round = 0; round < 200; ++round) {
+        const SetId span = static_cast<SetId>(1 + rng.Uniform(20000));
+        const std::vector<SetId> input =
+            RandomMultiset(rng, rng.Uniform(2000), span);
+        std::vector<SetId> sids = input;
+        SortUniqueSids(&sids);
+        if (sids != StdSortUnique(input)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 }  // namespace

@@ -115,9 +115,9 @@ TEST(SetOpsTest, IntersectionSizeAgreesWithBruteForce) {
   }
 }
 
-// ---- Intersection kernels: scalar, AVX2 and the dispatched entry point.
-// On hosts without AVX2, under SSR_NO_SIMD=1, or with SSR_SIMD=OFF, the
-// AVX2 checks are skipped and the scalar kernel is the only path.
+// ---- Intersection kernels: scalar, AVX2, AVX-512 and the dispatched entry
+// point. A level the host cannot run (no AVX2 or AVX-512F/DQ, SSR_NO_SIMD=1,
+// or SSR_SIMD=OFF) is skipped; the scalar kernel always runs.
 
 constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
 
@@ -141,6 +141,11 @@ void ExpectAgreesWithStd(const ElementSet& a, const ElementSet& b) {
     if (simd::Avx2Runtime()) {
       ASSERT_EQ(simd::IntersectionSizeAvx2(x->data(), x->size(), y->data(),
                                            y->size()),
+                inter.size());
+    }
+    if (simd::Avx512Runtime()) {
+      ASSERT_EQ(simd::IntersectionSizeAvx512(x->data(), x->size(), y->data(),
+                                             y->size()),
                 inter.size());
     }
     ASSERT_EQ(IntersectionSize(*x, *y), inter.size());
@@ -193,8 +198,9 @@ std::pair<ElementSet, ElementSet> OverlappingPair(Rng& rng, std::size_t na,
   return {std::move(a), std::move(b)};
 }
 
-// Sizes 0-67 per side cover every tail length mod 4 on both sides; the
-// overlaps run from disjoint to identical (na == nb, shared == na).
+// Sizes 0-67 per side cover every tail length mod 4 and mod 8 on both
+// sides and straddle one and two blocks of 8 (and of 16); the overlaps run
+// from disjoint to identical (na == nb, shared == na).
 TEST(SetOpsTest, IntersectionKernelsMatchStdOnSizeOverlapGrid) {
   Rng rng(20);
   for (std::size_t na = 0; na <= 67; ++na) {
@@ -230,8 +236,9 @@ TEST(SetOpsTest, IntersectionKernelsMatchStdOnInterleavedSets) {
     // Multiples of 2 against multiples of 3: a match every sixth id.
     ASSERT_NO_FATAL_FAILURE(
         ExpectAgreesWithStd(Range(0, n, 2), Range(0, n, 3)));
-    // One run shifted against the other, at every offset within a block.
-    for (ElementId shift = 0; shift <= 8; ++shift) {
+    // One run shifted against the other, at every offset within a block
+    // of 4 or of 8, and past one.
+    for (ElementId shift = 0; shift <= 17; ++shift) {
       ASSERT_NO_FATAL_FAILURE(
           ExpectAgreesWithStd(Range(0, n), Range(shift, n)));
     }
@@ -240,7 +247,7 @@ TEST(SetOpsTest, IntersectionKernelsMatchStdOnInterleavedSets) {
 
 TEST(SetOpsTest, IntersectionKernelsMatchStdOnBlockDisjointSets) {
   for (std::size_t blocks = 0; blocks <= 17; ++blocks) {
-    for (std::size_t width : {1, 3, 4, 5, 8}) {
+    for (std::size_t width : {1, 3, 4, 5, 7, 8, 9, 16}) {
       // Alternating runs of `width` ids: every block of one set falls
       // between two blocks of the other.
       ElementSet a, b;
@@ -271,6 +278,29 @@ TEST(SetOpsTest, IntersectionKernelsMatchStdWhenOneSetIs50xTheOther) {
                      " ids=" + std::to_string(static_cast<int>(ids)));
         ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithStd(a, b));
       }
+    }
+  }
+}
+
+// IntersectionSize runs the widest level the gate allows; whichever it
+// picks, it must equal every level's kernel (the levels the host runs).
+TEST(SetOpsTest, IntersectionSizeEqualsEveryLevelKernel) {
+  Rng rng(22);
+  for (int t = 0; t < 300; ++t) {
+    const std::size_t na = rng.Uniform(200);
+    const std::size_t nb = rng.Uniform(200);
+    const std::size_t shared = rng.Uniform(std::min(na, nb) + 1);
+    auto [a, b] = OverlappingPair(rng, na, nb, shared, static_cast<Ids>(t % 3));
+    const std::size_t got = IntersectionSize(a, b);
+    ASSERT_EQ(got, simd::IntersectionSizeScalar(a.data(), a.size(), b.data(),
+                                                b.size()));
+    if (simd::Avx2Runtime()) {
+      ASSERT_EQ(got, simd::IntersectionSizeAvx2(a.data(), a.size(), b.data(),
+                                                b.size()));
+    }
+    if (simd::Avx512Runtime()) {
+      ASSERT_EQ(got, simd::IntersectionSizeAvx512(a.data(), a.size(),
+                                                  b.data(), b.size()));
     }
   }
 }
