@@ -502,10 +502,11 @@ int RunQueryThroughputSuite(bool quick, RunReport* report) {
 }
 
 /// Sharded scatter/gather throughput at P in {1, 2, 4} shards, each query
-/// routed through a 4-worker QueryRouter. Reports the wall-clock routed
-/// QPS and its speedup over P=1. Every routed answer is cross-checked
-/// against an unsharded index; a divergence fails the run, so the
-/// trajectory never charts a wrong-answer speedup.
+/// routed through a QueryRouter, which runs every shard on the calling
+/// thread. Reports the wall-clock routed QPS and its speedup over P=1 (the
+/// cost of splitting one query's work across P shards). Every routed
+/// answer is cross-checked against an unsharded index; a divergence fails
+/// the run, so the trajectory never charts a wrong-answer speedup.
 int RunShardScalingSuite(bool quick, RunReport* report) {
   bench::PrintHeader("suite: shard_scaling (pinned params)");
   Rng rng(0x5eed06);
@@ -569,9 +570,7 @@ int RunShardScalingSuite(bool quick, RunReport* report) {
                    index.status().ToString().c_str());
       return 1;
     }
-    shard::QueryRouterOptions router_options;
-    router_options.num_threads = 4;
-    shard::QueryRouter router(*index, router_options);
+    shard::QueryRouter router(*index);
     double wall_seconds = 0.0;  // the routed calls alone, not the check
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Stopwatch wall;
@@ -1235,9 +1234,7 @@ int RunIntrospectionSuite(bool quick, RunReport* report) {
                  index.status().ToString().c_str());
     return 1;
   }
-  shard::QueryRouterOptions router_options;
-  router_options.num_threads = 2;
-  shard::QueryRouter router(*index, router_options);
+  shard::QueryRouter router(*index);
 
   auto& registry = obs::MetricsRegistry::Default();
   server::IntrospectionServerOptions server_options;

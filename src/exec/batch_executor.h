@@ -7,7 +7,8 @@
 // are built once, in the constructor: a Run registers no metrics.
 // Answers are identical to issuing the queries serially through
 // SetSimilarityIndex::Query. (A batch over a sharded index is a loop over
-// shard::QueryRouter::Query, which scatters each query on its own pool.)
+// shard::QueryRouter::Query, which runs each query's shards on the calling
+// thread.)
 //
 // Throughput is reported two ways, consistent with the repo's convention
 // that absolute times come from measured CPU plus the simulated I/O model:

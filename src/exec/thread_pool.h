@@ -1,9 +1,8 @@
 // Execution subsystem: a fixed-size worker pool with a blocking
 // ParallelFor. The rest of the codebase stays single-threaded by default;
 // the opt-in users each own a pool: the parallel index build
-// (SetSimilarityIndex::Build with IndexOptions::num_threads != 1), the
-// concurrent batch-query executor (exec::BatchExecutor) and the sharded
-// query router (shard::QueryRouter).
+// (SetSimilarityIndex::Build with IndexOptions::num_threads != 1) and the
+// concurrent batch-query executor (exec::BatchExecutor).
 //
 // Thread-count resolution is uniform across all of them: an explicit n > 0
 // wins, n == 0 consults the SSR_THREADS environment variable and falls back
@@ -54,7 +53,7 @@ struct JobStats {
 /// or pulls ParallelFor chunks from a shared cursor. One job runs at a
 /// time: jobs are issued from one thread at a time, never from inside a
 /// job (not reentrant). State indexed by worker id may persist across jobs
-/// without locking (the query router keeps its per-shard views that way):
+/// without locking (BatchExecutor keeps its per-worker views that way):
 /// within a job each id belongs to one thread, and a job starts only after
 /// the previous one finished on every worker.
 class ThreadPool {

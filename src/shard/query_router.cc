@@ -1,7 +1,6 @@
 #include "shard/query_router.h"
 
 #include <string>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,14 +11,11 @@ namespace shard {
 
 QueryRouter::QueryRouter(const ShardedSetSimilarityIndex& index,
                          QueryRouterOptions options)
-    : index_(&index),
-      options_(options),
-      pool_(exec::ResolveThreadCount(options.num_threads)) {
+    : index_(&index), options_(options) {
   auto& registry = obs::MetricsRegistry::Default();
   if (options_.metrics_scope.empty()) {
     options_.metrics_scope = registry.NewScope("router");
   }
-  worker_shards_.resize(pool_.size());
   EnsureShardState(index_->num_shards());
   query_latency_ = registry.GetHistogram("ssr_router_query_latency_micros",
                                          options_.metrics_scope,
@@ -35,7 +31,7 @@ void QueryRouter::EnsureShardState(std::uint32_t num_shards) {
         options_.metrics_scope + "/shard/" + std::to_string(s),
         obs::LatencyBoundsMicros()));
   }
-  for (std::vector<WorkerShard>& row : worker_shards_) row.resize(num_shards);
+  shards_.resize(num_shards);
 }
 
 Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
@@ -58,14 +54,12 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
   // before any shard is consulted, exactly like the serial scatter.
   SSR_RETURN_IF_ERROR(ValidateRangeQuery(query, sigma1, sigma2));
 
-  // The plan pins an epoch for the whole scatter/gather (the workers run
-  // inside that pin) and loads every shard slot once.
+  // The plan pins an epoch for the whole scatter/gather and loads every
+  // shard slot once.
   const ShardedSetSimilarityIndex::ScatterPlan plan(*index_);
-  const std::uint32_t num_shards = plan.num_shards();
-  EnsureShardState(num_shards);
+  EnsureShardState(plan.num_shards());
   obs::TraceSpan span("router_query");
-  span.Tag("shards", static_cast<std::uint64_t>(num_shards));
-  span.Tag("workers", static_cast<std::uint64_t>(pool_.size()));
+  span.Tag("shards", static_cast<std::uint64_t>(plan.num_shards()));
 
   // Sign once, here, with the embedding every shard shares; each shard
   // probes with this one signature instead of signing again. (No embedding
@@ -78,44 +72,24 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
     shared_signature = &signature;
   }
 
-  // Scatter: every shard the plan found answering is probed concurrently
-  // through the worker's own ReadView for it (private buffer pool + I/O
-  // model), so the only shared state the workers touch is read-only index
-  // structure. Result slots are per-shard, so writes are index-disjoint.
-  std::vector<QueryResult> answers(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  {
-    obs::TraceSpan scatter("router_scatter");
-    pool_.ParallelFor(0, num_shards, 1, [&](std::size_t s,
-                                            std::size_t worker) {
-      const SetSimilarityIndex* shard_index =
-          plan.index(static_cast<std::uint32_t>(s));
-      if (shard_index == nullptr) return;  // the gather fails or skips it
-      WorkerShard& state = worker_shards_[worker][s];
-      if (state.view == nullptr ||
-          state.view->store() != &shard_index->store()) {
-        state.view =
-            std::make_unique<SetStore::ReadView>(shard_index->store());
-      }
-      Stopwatch probe_watch;
-      auto r = shard_index->QueryThrough(*state.view, query, sigma1, sigma2,
-                                         &state.scratch, shared_signature);
-      shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
-      if (r.ok()) {
-        answers[s] = std::move(r).value();
-      } else {
-        statuses[s] = r.status();
-      }
-    });
-  }
-
-  // Gather in shard order — deterministic regardless of which worker
-  // finished when.
-  obs::TraceSpan gather("router_gather");
+  // Scatter and gather in one pass, in shard order: the gather runs each
+  // answering shard as it reaches it, through the router's own ReadView
+  // for that shard (private buffer pool + I/O model).
   auto result =
       index_->Gather(plan, [&](std::uint32_t s) -> Result<QueryResult> {
-        if (!statuses[s].ok()) return statuses[s];
-        return std::move(answers[s]);
+        const SetSimilarityIndex& shard_index = *plan.index(s);
+        ShardState& state = shards_[s];
+        if (state.view == nullptr ||
+            state.view->store() != &shard_index.store()) {
+          state.view =
+              std::make_unique<SetStore::ReadView>(shard_index.store());
+        }
+        Stopwatch probe_watch;
+        auto answer =
+            shard_index.QueryThrough(*state.view, query, sigma1, sigma2,
+                                     &state.scratch, shared_signature);
+        shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
+        return answer;
       });
   if (!result.ok()) return result;
   if (result->partial) partials->Increment();

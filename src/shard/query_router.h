@@ -1,29 +1,33 @@
-// QueryRouter: the parallel scatter/gather front end of the sharded index.
-// A query is validated and signed once, on the calling thread, with the
-// embedding every shard shares (ShardedSetSimilarityIndex::embedding); that
-// one signature then fans out to every shard on the router's thread pool,
-// as in the paper, where one query signature probes every filter index.
-// Each (pool worker, shard) pair keeps its own ReadView and probe scratch
-// for the router's lifetime, like a BatchExecutor worker keeps its view:
-// shards are queried concurrently without touching each other's buffer
-// pools, a routed query's modeled I/O is charged against a warm per-worker
-// pool, and steady-state queries register no metrics. A view is rebuilt
-// only when its shard slot holds a different store after a grow or shrink.
+// QueryRouter: the scatter/gather front end of the sharded index. A query
+// is validated and signed once with the embedding every shard shares
+// (ShardedSetSimilarityIndex::embedding); that one signature then probes
+// every shard, as in the paper, where one query signature probes every
+// filter index. Everything runs on the calling thread: the router has no
+// thread pool. A near-duplicate probe verifies a few candidates per shard,
+// microseconds of work, less than a pool hand-off (~10 µs). A query with
+// hundreds of candidates per shard would finish sooner with its shards on
+// a pool whose workers run at once (DESIGN.md §10); the benchmark has no
+// such routed workload yet.
+// Per shard the router keeps one ReadView and probe scratch for its
+// lifetime, like a BatchExecutor worker keeps its view: a routed query's
+// modeled I/O is charged against a warm private buffer pool, and
+// steady-state queries register no metrics. A view is rebuilt only when
+// its shard slot holds a different store after a grow or shrink.
 // A batch on a sharded index is a loop over Query. Query takes the index's
 // ScatterPlan when it starts and merges through its Gather, *in shard
 // order*, exactly as the serial ShardedSetSimilarityIndex::Query does: the
-// two paths differ only in how one shard runs (inline Query, which signs
-// per shard, or pooled QueryThrough with the shared signature). Router
-// answers are bit-identical to serial answers, which the differential
-// harness (tests/difftest/) holds as an invariant.
+// two paths differ only in how one shard runs (Query, which signs per
+// shard, or QueryThrough the router's view with the shared signature).
+// Router answers are bit-identical to serial answers, which the
+// differential harness (tests/difftest/) holds as an invariant.
 //
 // Failure semantics are inherited from the index's ShardFailurePolicy: a
 // degraded or erroring shard either fails the query (kFailFast) or is
 // skipped with the answer tagged partial + degraded (kPartialResults).
 //
-// A router serves one caller thread at a time: its pool runs one job at a
-// time, and the per-worker state belongs to that job. Threads that query
-// concurrently each hold their own router.
+// A router serves one caller thread at a time: its per-shard state belongs
+// to the query in flight. Threads that query concurrently each hold their
+// own router.
 
 #ifndef SSR_SHARD_QUERY_ROUTER_H_
 #define SSR_SHARD_QUERY_ROUTER_H_
@@ -33,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/workload_observer.h"
 #include "shard/sharded_index.h"
@@ -45,8 +48,8 @@ namespace ssr {
 namespace shard {
 
 struct QueryRouterOptions {
-  /// Worker threads for the router's pool: 0 = resolve from SSR_THREADS /
-  /// hardware concurrency (exec::ResolveThreadCount), 1 = serial.
+  /// Unused: a router runs every shard on the calling thread. Kept so that
+  /// callers which still set it compile.
   std::size_t num_threads = 0;
 
   /// Scope for this router's per-shard instruments
@@ -63,8 +66,8 @@ struct QueryRouterOptions {
   obs::WorkloadObserver* workload_observer = nullptr;
 };
 
-/// Scatters queries across a ShardedSetSimilarityIndex's shards on a shared
-/// thread pool and gathers deterministically. After the index's
+/// Scatters queries across a ShardedSetSimilarityIndex's shards on the
+/// calling thread and gathers deterministically. After the index's
 /// EnableConcurrentWrites, Query may run concurrently with Insert/Erase and
 /// an online rebalance (each scatter's plan pins an epoch; an answer any
 /// rebalance overlapped comes back tagged rebalancing and partial). Without
@@ -75,7 +78,7 @@ class QueryRouter {
   explicit QueryRouter(const ShardedSetSimilarityIndex& index,
                        QueryRouterOptions options = {});
 
-  /// One query, signed once here and scattered to all shards in parallel.
+  /// One query, signed once here and run on every shard in shard order.
   /// Answers (including per-shard stats and failure tagging) are identical
   /// to the serial ShardedSetSimilarityIndex::Query. Per-shard latency
   /// (ssr_router_shard_latency_micros) is the shard's probe + verify; the
@@ -83,12 +86,11 @@ class QueryRouter {
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2);
 
-  std::size_t num_threads() const { return pool_.size(); }
   const std::string& metrics_scope() const { return options_.metrics_scope; }
 
  private:
-  /// One pool worker's reusable state for one shard.
-  struct WorkerShard {
+  /// The router's reusable state for one shard.
+  struct ShardState {
     /// Over the store the shard slot held when it was built; rebuilt when
     /// the slot's store differs. (A new store at a freed one's address
     /// keeps the view: it then reads the new store, and only its pool's
@@ -97,22 +99,18 @@ class QueryRouter {
     std::vector<SetId> scratch;  // probe-union buffer
   };
 
-  /// Extends the per-shard state (latency histograms, every worker's
-  /// WorkerShard slots) to `num_shards` shards, so shards added by
-  /// a grow are served and counted like the original ones. Runs on the
-  /// calling thread, between pool jobs.
+  /// Extends the per-shard state (latency histograms, ShardState slots) to
+  /// `num_shards` shards, so shards added by a grow are served and counted
+  /// like the original ones.
   void EnsureShardState(std::uint32_t num_shards);
 
   const ShardedSetSimilarityIndex* index_;
   QueryRouterOptions options_;
-  exec::ThreadPool pool_;
   /// Per-shard latency histograms under <scope>/shard/<s>: the wall time
   /// of each shard's probe + verify in Query. This is where shard skew
   /// becomes visible.
   std::vector<obs::Histogram*> shard_latency_;
-  /// [worker][shard], indexed by the ParallelFor worker id. Worker w only
-  /// touches row w, so the scatter needs no locking.
-  std::vector<std::vector<WorkerShard>> worker_shards_;
+  std::vector<ShardState> shards_;
   /// End-to-end routed query latency (sign + scatter + gather) under the
   /// router's scope: the series the SLO windows track for the sharded
   /// front end, the sharded counterpart of ssr_index_query_latency_micros.

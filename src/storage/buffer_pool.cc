@@ -16,11 +16,18 @@ BufferPool::BufferPool(std::size_t capacity_pages, std::string metrics_scope)
 }
 
 bool BufferPool::Access(PageId page_id, bool sequential, IoCostModel& io) {
-  auto it = index_.find(page_id);
-  if (it != index_.end()) {
-    hits_->Increment();
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
+  if (page_id < slot_of_page_.size()) {
+    const std::uint32_t slot = slot_of_page_[page_id];
+    if (slot != kNoSlot) {
+      hits_->Increment();
+      if (slot != head_) {
+        Unlink(slot);
+        PushFront(slot);
+      }
+      return true;
+    }
+  } else {
+    slot_of_page_.resize(static_cast<std::size_t>(page_id) + 1, kNoSlot);
   }
   misses_->Increment();
   if (sequential) {
@@ -28,20 +35,52 @@ bool BufferPool::Access(PageId page_id, bool sequential, IoCostModel& io) {
   } else {
     io.ChargeRandomRead();
   }
-  if (lru_.size() >= capacity_) {
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    index_.erase(victim);
+  std::uint32_t slot;
+  if (slots_.size() >= capacity_) {
+    slot = tail_;
+    Unlink(slot);
+    slot_of_page_[slots_[slot].page] = kNoSlot;
     evictions_->Increment();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  lru_.push_front(page_id);
-  index_[page_id] = lru_.begin();
+  slots_[slot].page = page_id;
+  slot_of_page_[page_id] = slot;
+  PushFront(slot);
   return false;
 }
 
+void BufferPool::Unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  if (s.prev == kNoSlot) {
+    head_ = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNoSlot) {
+    tail_ = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+}
+
+void BufferPool::PushFront(std::uint32_t slot) {
+  slots_[slot].prev = kNoSlot;
+  slots_[slot].next = head_;
+  if (head_ == kNoSlot) {
+    tail_ = slot;
+  } else {
+    slots_[head_].prev = slot;
+  }
+  head_ = slot;
+}
+
 void BufferPool::Clear() {
-  lru_.clear();
-  index_.clear();
+  for (const Slot& s : slots_) slot_of_page_[s.page] = kNoSlot;
+  slots_.clear();
+  head_ = kNoSlot;
+  tail_ = kNoSlot;
 }
 
 void BufferPool::ResetStats() {

@@ -6,14 +6,19 @@
 // Hit/miss/eviction counts live in obs::MetricsRegistry instruments
 // (ssr_buffer_pool_*_total under this pool's scope); BufferPoolStats is a
 // snapshot view over them.
+//
+// The LRU list is intrusive over dense arrays: a page -> slot table indexed
+// by page id (heap files number their pages densely from 0) and one slot
+// per resident page, linked MRU to LRU by slot index. Neither a hit nor a
+// miss allocates once the table covers the pages accessed and the slots
+// reached capacity; an eviction reuses the victim's slot.
 
 #ifndef SSR_STORAGE_BUFFER_POOL_H_
 #define SSR_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "storage/heap_file.h"
@@ -59,15 +64,28 @@ class BufferPool {
   void ResetStats();
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t resident() const { return lru_.size(); }
+  std::size_t resident() const { return slots_.size(); }
   const std::string& metrics_scope() const { return metrics_scope_; }
 
  private:
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+  /// One resident page and its neighbours in recency order.
+  struct Slot {
+    PageId page;
+    std::uint32_t prev;  // toward the MRU end; kNoSlot at the head
+    std::uint32_t next;  // toward the LRU end; kNoSlot at the tail
+  };
+
+  void Unlink(std::uint32_t slot);
+  void PushFront(std::uint32_t slot);
+
   std::size_t capacity_;
   std::string metrics_scope_;
-  // Front = most recently used.
-  std::list<PageId> lru_;
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_;
+  std::vector<std::uint32_t> slot_of_page_;  // kNoSlot: not resident
+  std::vector<Slot> slots_;                  // at most capacity_ entries
+  std::uint32_t head_ = kNoSlot;             // most recently used
+  std::uint32_t tail_ = kNoSlot;             // least recently used
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* evictions_;

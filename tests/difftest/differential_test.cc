@@ -7,7 +7,7 @@
 //   serial   one SetSimilarityIndex
 //   batch    exec::BatchExecutor over that index (4 workers)
 //   sharded  ShardedSetSimilarityIndex at P in {1, 2, 4, 7}, serial gather
-//   routed   QueryRouter::Query (parallel scatter) at P = 4
+//   routed   QueryRouter::Query (one shared signature) at P = 4
 //
 // The differential contract pins down exactly what the system guarantees:
 //

@@ -424,6 +424,10 @@ TEST_F(RebalanceTest, RouterHeldAcrossRebalanceMatchesSerial) {
   ASSERT_TRUE(index.RebalanceTo(1).ok());
   ASSERT_EQ(index.num_shards(), 1u);
   check_routed_equals_serial("shrunk to P=1");
+  // New stores in the slots the shrink retired: the router's views over
+  // the old ones must not serve them.
+  ASSERT_TRUE(index.RebalanceTo(4).ok());
+  check_routed_equals_serial("grown to P=4 again");
   em.Quiesce();
 }
 
