@@ -219,6 +219,37 @@ void BM_SfiProbeUnionScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_SfiProbeUnionScratch)->Arg(5)->Arg(20)->Arg(50);
 
+// Cold tables: a 10,000-set, 16-table SFI probed by 4,096 distinct query
+// signatures in turn. BM_SfiProbe* re-probe one query, so its bucket words
+// and heap buckets stay cached; here most probes miss on them, which is
+// what SimVectorInto's grouped prefetches overlap. One iteration is one
+// filter probe.
+void BM_SfiProbeColdTables(benchmark::State& state) {
+  Rng rng(6);
+  Embedding e = DefaultEmbedding();
+  SfiParams params;
+  params.s_star = 0.9;
+  params.l = 16;
+  auto sfi = SimilarityFilterIndex::Create(e, params, 10000);
+  for (int i = 0; i < 10000; ++i) {
+    sfi->Insert(static_cast<SetId>(i), e.Sign(RandomSet(rng, 30, 1 << 16)));
+  }
+  std::vector<Signature> queries;
+  for (int i = 0; i < 4096; ++i) {
+    queries.push_back(e.Sign(RandomSet(rng, 30, 1 << 16)));
+  }
+  std::vector<SetId> scratch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    sfi->SimVectorInto(queries[next], /*complemented=*/false, nullptr,
+                       &scratch);
+    benchmark::DoNotOptimize(scratch.data());
+    next = (next + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SfiProbeColdTables);
+
 // End-to-end candidate generation through the composite index (embed +
 // probe + set algebra, no verification fetches). The observability
 // acceptance bar: instrument updates must stay within noise of the seed's

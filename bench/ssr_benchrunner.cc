@@ -503,8 +503,9 @@ int RunQueryThroughputSuite(bool quick, RunReport* report) {
 
 /// Sharded scatter/gather throughput at P in {1, 2, 4} shards, each query
 /// routed through a QueryRouter, which runs every shard on the calling
-/// thread. Reports the wall-clock routed QPS and its speedup over P=1 (the
-/// cost of splitting one query's work across P shards). Every routed
+/// thread. Reports the wall-clock routed QPS, timed over repeated passes of
+/// the batch totalling at least 0.2 s per shard count, and its speedup over
+/// P=1 (the cost of splitting one query's work across P shards). Every routed
 /// answer is cross-checked against an unsharded index; a divergence fails
 /// the run, so the trajectory never charts a wrong-answer speedup.
 int RunShardScalingSuite(bool quick, RunReport* report) {
@@ -512,6 +513,7 @@ int RunShardScalingSuite(bool quick, RunReport* report) {
   Rng rng(0x5eed06);
   const std::size_t collection = quick ? 500 : 2000;
   const std::size_t batch_size = quick ? 300 : 1500;
+  constexpr double kMinRoutedSeconds = 0.2;  // per shard count
 
   SetCollection sets;
   sets.reserve(collection);
@@ -571,32 +573,36 @@ int RunShardScalingSuite(bool quick, RunReport* report) {
       return 1;
     }
     shard::QueryRouter router(*index);
+    // One pass takes a few ms at --quick size, too short for a stable qps.
     double wall_seconds = 0.0;  // the routed calls alone, not the check
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Stopwatch wall;
-      auto routed = router.Query(batch[i].query, batch[i].sigma1,
-                                 batch[i].sigma2);
-      wall_seconds += wall.ElapsedSeconds();
-      if (!routed.ok()) {
-        std::fprintf(stderr, "routed query %zu failed at P=%u: %s\n", i,
-                     shards, routed.status().ToString().c_str());
-        return 1;
+    std::size_t routed_queries = 0;
+    while (wall_seconds < kMinRoutedSeconds) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        Stopwatch wall;
+        auto routed = router.Query(batch[i].query, batch[i].sigma1,
+                                   batch[i].sigma2);
+        wall_seconds += wall.ElapsedSeconds();
+        if (!routed.ok()) {
+          std::fprintf(stderr, "routed query %zu failed at P=%u: %s\n", i,
+                       shards, routed.status().ToString().c_str());
+          return 1;
+        }
+        if (routed->sids != ref_result.results[i].sids) {
+          std::fprintf(stderr,
+                       "routed answer diverged from the unsharded index at "
+                       "P=%u, query %zu\n",
+                       shards, i);
+          return 1;
+        }
       }
-      if (routed->sids != ref_result.results[i].sids) {
-        std::fprintf(stderr,
-                     "routed answer diverged from the unsharded index at "
-                     "P=%u, query %zu\n",
-                     shards, i);
-        return 1;
-      }
+      routed_queries += batch.size();
     }
-    const double qps = wall_seconds > 0.0
-                           ? static_cast<double>(batch.size()) / wall_seconds
-                           : 0.0;
+    const double qps = static_cast<double>(routed_queries) / wall_seconds;
     if (shards == 1) p1_qps = qps;
     const double speedup = p1_qps > 0.0 ? qps / p1_qps : 0.0;
-    std::printf("  P=%u: %.0f qps (wall %.3f s)  speedup %.2fx\n", shards,
-                qps, wall_seconds, speedup);
+    std::printf("  P=%u: %.0f qps (%zu queries, wall %.3f s)  speedup "
+                "%.2fx\n",
+                shards, qps, routed_queries, wall_seconds, speedup);
     const std::string prefix = "shard_scaling_p" + std::to_string(shards);
     report->AddScalar(prefix + "_qps", qps);
     if (shards > 1) {

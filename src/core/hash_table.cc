@@ -32,9 +32,7 @@ SidHashTable::SidHashTable(SidHashTable&& other) noexcept
       num_buckets_(other.num_buckets_),
       mask_(other.mask_),
       size_(other.size_.load(std::memory_order_relaxed)),
-      manager_(other.manager_),
-      bucket_accesses_(
-          other.bucket_accesses_.load(std::memory_order_relaxed)) {
+      manager_(other.manager_) {
   other.num_buckets_ = 0;
 }
 
@@ -51,9 +49,6 @@ SidHashTable& SidHashTable::operator=(SidHashTable&& other) noexcept {
     size_.store(other.size_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     manager_ = other.manager_;
-    bucket_accesses_.store(
-        other.bucket_accesses_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     other.num_buckets_ = 0;
   }
   return *this;
@@ -124,13 +119,14 @@ bool SidHashTable::Erase(std::uint64_t key_hash, SetId sid) {
 
 std::size_t SidHashTable::Probe(std::uint64_t key_hash,
                                 std::vector<SetId>* out) const {
-  // Per-table diagnostics only: SetSimilarityIndex::ProbeFi counts the
-  // accesses and scanned sids of a whole filter probe into the index's
-  // instruments.
-  bucket_accesses_.fetch_add(1, std::memory_order_relaxed);
   // Latency-only fault site: a kLatency schedule here simulates a slow
   // bucket page. Error kinds are deliberately ignored — the in-memory table
   // itself cannot fail; loss is modeled one level up ("sfi/probe_table").
+  // SimilarityFilterIndex::SimVectorInto checks a whole group of tables'
+  // "sfi/probe_table" before it probes any of them, so this site's checks
+  // come after the group's. The two sites share the injector's RNG, so the
+  // order matters only when both are armed with probability schedules; no
+  // test arms this one.
   {
     fault::FaultInjector& injector = fault::FaultInjector::Default();
     if (injector.enabled()) injector.Check("hash_table/probe");

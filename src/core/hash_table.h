@@ -1,8 +1,9 @@
 // The hash-table primitive of the filter indices (Section 4.1): buckets of
-// set identifiers keyed by the hash of an r-bit sampled key. Bucket accesses
-// are counted — each probe of a disk-resident table costs one random page
-// read in the paper's cost model, and SFI answers a query with O(l) bucket
-// accesses.
+// set identifiers keyed by the hash of an r-bit sampled key. Each probe of a
+// disk-resident table costs one random page read in the paper's cost model,
+// and SFI answers a query with O(l) bucket accesses. The table keeps no
+// access counter of its own: a probe writes nothing shared, and the
+// caller counts accesses per query (SetSimilarityIndex::ProbeFi).
 //
 // Storage: each bucket is one atomic word. An empty bucket is 0; a bucket
 // of one entry holds that entry inline, so it costs no allocation; two or
@@ -69,23 +70,30 @@ class SidHashTable {
 
   /// Appends the sids stored under `key_hash` to `out` and returns the
   /// physical size of the bucket scanned (the I/O-relevant quantity: a
-  /// disk-resident probe reads the whole bucket before filtering). Also
-  /// bumps the bucket-access counter. Safe to call concurrently with
-  /// COW-mode mutations when the caller holds an exec::EpochGuard.
+  /// disk-resident probe reads the whole bucket before filtering). Safe to
+  /// call concurrently with COW-mode mutations when the caller holds an
+  /// exec::EpochGuard.
   std::size_t Probe(std::uint64_t key_hash, std::vector<SetId>* out) const;
 
   std::size_t num_buckets() const { return num_buckets_; }
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 
-  /// Number of Probe() calls since construction/reset (one bucket access
-  /// each; the paper charges one random I/O per access for disk-resident
-  /// tables). Relaxed-atomic so concurrent readers (the batch executor
-  /// probes an immutable index from many workers) never race.
-  std::uint64_t bucket_accesses() const {
-    return bucket_accesses_.load(std::memory_order_relaxed);
+  /// Prefetch hints for a Probe of `key_hash` that follows: the first pulls
+  /// in the bucket's word, the second the heap bucket the word points to,
+  /// if any. Neither changes what Probe returns. A caller probing several
+  /// tables issues every table's first hint, then every second hint, then
+  /// the probes, so the tables' cache misses overlap instead of chaining
+  /// (SimilarityFilterIndex::SimVectorInto).
+  void PrefetchSlot(std::uint64_t key_hash) const {
+    __builtin_prefetch(&slots_[BucketIndex(key_hash)]);
   }
-  void ResetCounters() const {
-    bucket_accesses_.store(0, std::memory_order_relaxed);
+  void PrefetchBucket(std::uint64_t key_hash) const {
+    // The word only feeds the prefetch and is never dereferenced, so a
+    // relaxed load suffices: a prefetch of a bucket retired since cannot
+    // fault, and Probe loads the word again with LoadSlot's ordering.
+    const Slot slot =
+        slots_[BucketIndex(key_hash)].load(std::memory_order_relaxed);
+    if (slot != 0 && !IsInline(slot)) __builtin_prefetch(HeapBucket(slot));
   }
 
   /// Occupancy diagnostics: size of the largest bucket.
@@ -159,7 +167,6 @@ class SidHashTable {
   std::size_t mask_ = 0;
   std::atomic<std::size_t> size_{0};
   exec::EpochManager* manager_ = nullptr;
-  mutable std::atomic<std::uint64_t> bucket_accesses_{0};
 };
 
 }  // namespace ssr

@@ -109,7 +109,13 @@ class SimilarityFilterIndex {
   /// Allocation-free SimVector: clears `*out` and fills it with the sorted,
   /// deduplicated union. Reusing one scratch vector across the l tables, all
   /// FIs of a query, and successive queries drops the per-probe allocation
-  /// churn to zero once the vector's capacity has warmed up.
+  /// churn to zero once the vector's capacity has warmed up. The tables are
+  /// read in groups of 16, in three stages per group: every key (each
+  /// prefetching its bucket word), then a prefetch of every heap bucket
+  /// those words point to, then the probes. So a group's cache misses
+  /// overlap instead of chaining table after table. The answer and stats
+  /// equal a one-table-at-a-time loop's. Under COW-mode mutations the
+  /// caller holds an exec::EpochGuard across the call.
   void SimVectorInto(const Signature& query, bool complemented,
                      SfiProbeStats* stats, std::vector<SetId>* out) const;
 

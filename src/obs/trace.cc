@@ -112,11 +112,15 @@ void TraceSpan::Tag(std::string_view key, std::string_view value) {
   record_.tags.emplace_back(std::string(key), std::string(value));
 }
 
+// The numeric tags return before formatting: an inactive span records
+// nothing, and a query's spans tag on every call.
 void TraceSpan::Tag(std::string_view key, std::uint64_t value) {
+  if (tracer_ == nullptr) return;
   Tag(key, std::string_view(std::to_string(value)));
 }
 
 void TraceSpan::Tag(std::string_view key, double value) {
+  if (tracer_ == nullptr) return;
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   Tag(key, std::string_view(buf));

@@ -1,5 +1,8 @@
 #include "core/hash_table.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,19 +93,6 @@ TEST(SidHashTableTest, EraseRequiresMatchingFingerprint) {
   EXPECT_TRUE(table.Erase(key_a, 1));
 }
 
-TEST(SidHashTableTest, ProbeCountsBucketAccesses) {
-  SidHashTable table(64);
-  table.Insert(1, 1);
-  EXPECT_EQ(table.bucket_accesses(), 0u);
-  std::vector<SetId> out;
-  table.Probe(1, &out);
-  table.Probe(2, &out);
-  table.Probe(3, &out);
-  EXPECT_EQ(table.bucket_accesses(), 3u);
-  table.ResetCounters();
-  EXPECT_EQ(table.bucket_accesses(), 0u);
-}
-
 TEST(SidHashTableTest, DistributesAcrossBuckets) {
   SidHashTable table(256);
   for (SetId sid = 0; sid < 1000; ++sid) {
@@ -152,6 +142,57 @@ TEST(SidHashTableTest, BucketGrowsAndShrinksThroughEveryRepresentation) {
     EXPECT_EQ(table.ContentDigest(), SidHashTable(16).ContentDigest());
     manager.Quiesce();
   }
+}
+
+// COW mode under readers: one writer walks a single bucket 0 -> 1 -> 3 ->
+// 1 -> 0 entries (inline and heap words, each heap word retired as it is
+// replaced) while readers run a grouped probe's stages on it — both
+// prefetch hints, then Probe — under an EpochGuard. Every probe must see a
+// state the walk passes through, and report the entries it returned as the
+// bucket's size (all share one key).
+TEST(SidHashTableTest, CowBucketProbedWhileOneWriterWalksItsSizes) {
+  const std::uint64_t key = 0xABCD000000000007ULL;
+  const std::vector<std::vector<SetId>> states = {
+      {}, {1}, {1, 2}, {1, 2, 3}, {1, 3}};
+  exec::EpochManager manager;
+  SidHashTable table(16);
+  table.SetEpochManager(&manager);
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  constexpr int kReaders = 2;
+  std::vector<int> bad(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<SetId> out;
+      started.fetch_add(1);
+      do {
+        exec::EpochGuard guard(manager);
+        table.PrefetchSlot(key);
+        table.PrefetchBucket(key);
+        out.clear();
+        const std::size_t size = table.Probe(key, &out);
+        if (size != out.size() ||
+            std::find(states.begin(), states.end(), out) == states.end()) {
+          ++bad[t];
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (int round = 0; round < 2000; ++round) {
+    table.Insert(key, 1);
+    table.Insert(key, 2);
+    table.Insert(key, 3);
+    EXPECT_TRUE(table.Erase(key, 2));
+    EXPECT_TRUE(table.Erase(key, 3));
+    EXPECT_TRUE(table.Erase(key, 1));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  for (int t = 0; t < kReaders; ++t) EXPECT_EQ(bad[t], 0) << "reader " << t;
+  EXPECT_EQ(table.size(), 0u);
+  manager.Quiesce();
 }
 
 }  // namespace

@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bit_sampler.h"
+#include "core/hash_table.h"
+#include "fault/fault_injector.h"
+#include "util/hash.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -206,13 +211,214 @@ TEST(SfiTest, SidsPerPageMatchesPageSize) {
   EXPECT_EQ(SimilarityFilterIndex::SidsPerPage(), 4096u / sizeof(SetId));
 }
 
-// ---- SortUniqueSids, the probe union behind SimVectorInto.
-
+// The union SimVectorInto must equal: std::sort + std::unique.
 std::vector<SetId> StdSortUnique(std::vector<SetId> sids) {
   std::sort(sids.begin(), sids.end());
   sids.erase(std::unique(sids.begin(), sids.end()), sids.end());
   return sids;
 }
+
+// ---- The grouped probe of SimVectorInto against a sequential reference.
+
+// An SFI's tables rebuilt from public parts: the same samplers (one Rng
+// stream from params.seed, drawn in table order as Create draws them) and
+// tables of the same bucket count holding the same signatures. Probe()
+// reads them one table at a time, with no grouping and no prefetch.
+struct ReferenceSfi {
+  ReferenceSfi(const Embedding& e, const SimilarityFilterIndex& sfi,
+               std::size_t num_buckets) {
+    Rng rng(sfi.params().seed);
+    for (std::size_t i = 0; i < sfi.l(); ++i) {
+      samplers.emplace_back(e, sfi.r(), rng);
+      tables.emplace_back(num_buckets);
+    }
+  }
+
+  void Insert(SetId sid, const Signature& sig) {
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+      tables[i].Insert(samplers[i].ExtractKeyHash(sig), sid);
+    }
+  }
+
+  std::uint64_t ContentDigest() const {
+    std::uint64_t h = SplitMix64(tables.size());
+    for (const SidHashTable& table : tables) {
+      h = HashCombine(h, table.ContentDigest());
+    }
+    return h;
+  }
+
+  // The probe with the tables in `lost` skipped. `bucket_sizes` collects
+  // the physical size of every bucket read.
+  std::vector<SetId> Probe(const Signature& q, bool complemented,
+                           const std::vector<bool>& lost,
+                           SfiProbeStats* stats,
+                           std::vector<std::size_t>* bucket_sizes) const {
+    std::vector<SetId> out;
+    *stats = SfiProbeStats{};
+    stats->bucket_accesses = tables.size();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+      if (lost[i]) {
+        ++stats->tables_failed;
+        continue;
+      }
+      const std::size_t size =
+          tables[i].Probe(samplers[i].ExtractKeyHash(q, complemented), &out);
+      bucket_sizes->push_back(size);
+      stats->sids_scanned += size;
+      stats->bucket_pages +=
+          1 + (size > 0 ? (size - 1) / SimilarityFilterIndex::SidsPerPage()
+                        : 0);
+    }
+    return StdSortUnique(std::move(out));
+  }
+
+  std::vector<BitSampler> samplers;
+  std::vector<SidHashTable> tables;
+};
+
+void ExpectSameProbe(const SfiProbeStats& got, const SfiProbeStats& want) {
+  EXPECT_EQ(got.bucket_accesses, want.bucket_accesses);
+  EXPECT_EQ(got.bucket_pages, want.bucket_pages);
+  EXPECT_EQ(got.sids_scanned, want.sids_scanned);
+  EXPECT_EQ(got.tables_failed, want.tables_failed);
+}
+
+// One SFI plus its reference over `num_sets` random sets.
+struct GroupedProbeFixture {
+  GroupedProbeFixture(const Embedding& e, std::size_t l,
+                      std::size_t num_buckets, std::size_t num_sets,
+                      std::uint64_t seed)
+      : sfi(Create(e, l, num_buckets)), reference(e, *sfi, num_buckets) {
+    Rng rng(seed);
+    for (std::size_t sid = 0; sid < num_sets; ++sid) {
+      ElementSet set;
+      for (int i = 0; i < 12; ++i) set.push_back(rng.Uniform(40));
+      NormalizeSet(set);
+      signatures.push_back(e.Sign(set));
+      sfi->Insert(static_cast<SetId>(sid), signatures.back());
+      reference.Insert(static_cast<SetId>(sid), signatures.back());
+    }
+  }
+
+  static Result<SimilarityFilterIndex> Create(const Embedding& e,
+                                              std::size_t l,
+                                              std::size_t num_buckets) {
+    SfiParams params;
+    params.s_star = 0.8;
+    params.l = l;
+    params.num_buckets = num_buckets;
+    params.seed = 0x9b0be + l;
+    auto sfi = SimilarityFilterIndex::Create(e, params, 0);
+    EXPECT_TRUE(sfi.ok());
+    return sfi;
+  }
+
+  Result<SimilarityFilterIndex> sfi;
+  ReferenceSfi reference;
+  std::vector<Signature> signatures;
+};
+
+// l on both sides of the 16-table group, plain and complemented probes, and
+// buckets that are empty, inline (one entry), heap-held and longer than a
+// page.
+TEST(SfiTest, GroupedProbeMatchesSequentialReference) {
+  Embedding e = MakeEmbedding(100, 8, 83);
+  Rng rng(84);
+  std::size_t empty = 0, inline_one = 0, heap = 0, multi_page = 0;
+  for (std::size_t l : {1, 15, 16, 17, 40}) {
+    // {buckets, sets}: mostly empty and inline; heap buckets; every table a
+    // single bucket of more than a page of sids.
+    const std::pair<std::size_t, std::size_t> sizings[] = {
+        {1 << 14, 60},
+        {64, 300},
+        {1, SimilarityFilterIndex::SidsPerPage() + 80}};
+    for (const auto& [buckets, sets] : sizings) {
+      SCOPED_TRACE("l=" + std::to_string(l) +
+                   " buckets=" + std::to_string(buckets));
+      GroupedProbeFixture f(e, l, buckets, sets, 85 + l);
+      ASSERT_EQ(f.sfi->l(), l);
+      // The reference holds what the SFI holds.
+      ASSERT_EQ(f.reference.ContentDigest(), f.sfi->ContentDigest());
+      std::vector<Signature> queries = {f.signatures[0], f.signatures[7]};
+      for (int i = 0; i < 3; ++i) {
+        ElementSet set;
+        for (int j = 0; j < 12; ++j) set.push_back(rng.Uniform(60));
+        NormalizeSet(set);
+        queries.push_back(e.Sign(set));
+      }
+      std::vector<SetId> out = {99, 98};  // SimVectorInto clears it
+      for (const Signature& q : queries) {
+        for (const bool complemented : {false, true}) {
+          std::vector<std::size_t> sizes;
+          SfiProbeStats want;
+          const std::vector<SetId> expected = f.reference.Probe(
+              q, complemented, std::vector<bool>(l, false), &want, &sizes);
+          SfiProbeStats got;
+          f.sfi->SimVectorInto(q, complemented, &got, &out);
+          ASSERT_EQ(out, expected);
+          ExpectSameProbe(got, want);
+          for (std::size_t size : sizes) {
+            if (size == 0) ++empty;
+            if (size == 1) ++inline_one;
+            if (size >= 2) ++heap;
+            if (size > SimilarityFilterIndex::SidsPerPage()) ++multi_page;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(inline_one, 0u);
+  EXPECT_GT(heap, 0u);
+  EXPECT_GT(multi_page, 0u);
+}
+
+// "sfi/probe_table" is checked once per table, in table order across the
+// groups: with every third check firing, tables 2, 5, 8, ... are lost, and
+// the probe equals the reference with exactly those tables skipped.
+TEST(SfiTest, GroupedProbeLosesEveryThirdTableUnderFaults) {
+#ifdef SSR_NO_FAULT_INJECTION
+  GTEST_SKIP() << "built with SSR_NO_FAULT_INJECTION";
+#endif
+  Embedding e = MakeEmbedding(100, 8, 86);
+  fault::FaultInjector& injector = fault::FaultInjector::Default();
+  for (std::size_t l : {1, 15, 16, 17, 40}) {
+    SCOPED_TRACE("l=" + std::to_string(l));
+    GroupedProbeFixture f(e, l, 64, 300, 87 + l);
+    std::vector<bool> lost(l, false);
+    for (std::size_t i = 2; i < l; i += 3) lost[i] = true;
+    for (const bool complemented : {false, true}) {
+      // An inserted set's own signature (plain) finds its sid in every
+      // table, so each lost table takes entries out of the scan.
+      const Signature& q = f.signatures[3];
+      std::vector<std::size_t> sizes;
+      SfiProbeStats want, whole;
+      const std::vector<SetId> expected =
+          f.reference.Probe(q, complemented, lost, &want, &sizes);
+      f.reference.Probe(q, complemented, std::vector<bool>(l, false), &whole,
+                        &sizes);
+      if (!complemented && l >= 3) {
+        ASSERT_LT(want.sids_scanned, whole.sids_scanned);
+      }
+      injector.Reset();
+      injector.Arm("sfi/probe_table", fault::FaultKind::kReadError,
+                   fault::FaultSchedule::EveryNth(3));
+      injector.Enable(1);
+      SfiProbeStats got;
+      std::vector<SetId> out;
+      f.sfi->SimVectorInto(q, complemented, &got, &out);
+      const std::uint64_t checks = injector.hits("sfi/probe_table");
+      injector.Reset();
+      EXPECT_EQ(checks, l);
+      EXPECT_EQ(got.tables_failed, l / 3);
+      EXPECT_EQ(out, expected);
+      ExpectSameProbe(got, want);
+    }
+  }
+}
+
+// ---- SortUniqueSids, the probe union behind SimVectorInto.
 
 // A multiset of `n` sids below `span`, each repeated up to three times, in
 // random order, plus the word-boundary sids that fit below `span` and the
